@@ -119,7 +119,8 @@ def odd_half_denominator(k: int) -> int:
     if k % 2 == 0:
         raise ValueError("parity: defined for odd k")
     out = den(2 * bernoulli_ms(k) / (4 * k))
-    assert 2 * out == im_j_order(k), "half-denominator relation violated"
+    if 2 * out != im_j_order(k):
+        raise RuntimeError("half-denominator relation violated")
     return out
 
 
@@ -127,9 +128,8 @@ def table_rows(max_index: int) -> list[tuple[int, Fraction, int, int]]:
     """Rows (k, B_k, den(B_k), den(B_k/4k)) for k = 1..max_index."""
     if max_index < 1:
         raise ValueError("index starts at 1")
-    table = BernoulliTable(max_index)
     rows = []
     for k in range(1, max_index + 1):
-        b = table.value(k)
+        b = bernoulli_ms(k)
         rows.append((k, b, den(b), den(b / (4 * k))))
     return rows

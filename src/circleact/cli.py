@@ -237,9 +237,17 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Entry point; returns the exit code (argparse exits 2 on usage errors)."""
-    args = build_parser().parse_args(argv)
+    """Entry point; returns the exit code (argparse exits 2 on usage errors).
+
+    The interpreter's int<->str digit limit is lifted while ``main`` runs,
+    so numeric flags and outputs of any length convert exactly.
+    """
+    # Python < 3.10.7 has neither the limit nor its setter
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digit_limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args, sys.stdout)
     except InvalidInvariantsError as exc:
         error = {
@@ -253,6 +261,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
+    finally:
+        if digit_limit is not None:
+            sys.set_int_max_str_digits(digit_limit)
 
 
 if __name__ == "__main__":

@@ -6,24 +6,28 @@ bookkeeping is needed, the expansion is already organized in powers of t):
     Q(t) = 1 + sum_{m>=1} (-1)^m (2^{2m} - 2) B_m / (2^{2m} (2m)!) t^m
          = 1 - t/24 + 7 t^2/5760 - 31 t^3/967680 + ...
 
-The degree-k polynomial of the sequence is produced the classical way:
-expand ``prod_{i=1..k} Q(x_i)`` over k formal roots, take the part of total
-degree k, and rewrite it in the elementary symmetric polynomials
-``e_i(x) = p_i``.  k roots suffice because e_i vanishes for i > k.
+The degree-k polynomial K_k of the sequence comes from the generating
+function (Hirzebruch, *Topological Methods in Algebraic Geometry* §1;
+Milnor-Stasheff §19), computed directly on partitions of k:
+
+* ``log Q(t) = sum_m c_m t^m``, with ``m c_m = m lam_m - sum_{j<m} j c_j lam_{m-j}``
+  where ``lam_m`` is the coefficient of t^m in Q;
+* the power sums ``s_m`` of the formal roots, written in ``p_i = e_i`` by
+  Newton's identities;
+* ``K = exp(sum_m c_m s_m)``, graded by weight: ``K_0 = 1`` and
+  ``w K_w = sum_{m=1..w} m c_m s_m K_{w-m}``.
 
 ``alpha(k)``, the coefficient of p_k, is computed three independent ways on
 every call (Newton-identity extraction from the series coefficients, the
-full formal-root expansion, and the closed form -B_k / (2 (2k)!)) and the
+full sequence polynomial, and the closed form -B_k / (2 (2k)!)) and the
 three results are required to agree exactly.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import factorial
 
 from .bernoulli import bernoulli_ms, im_j_order
@@ -72,8 +76,8 @@ class Partition:
 class PowerSeries:
     """Rational power series truncated at a fixed order.
 
-    ``coefficients[m]`` is the coefficient of t^m; arithmetic never reads
-    (or produces) anything beyond the truncation order.
+    ``coefficients[m]`` is the coefficient of t^m; reading beyond the
+    truncation order raises.
     """
 
     coefficients: tuple[Fraction, ...]
@@ -93,18 +97,6 @@ class PowerSeries:
         if not 0 <= m <= self.truncation_order:
             raise IndexError("coefficient beyond truncation order")
         return self.coefficients[m]
-
-    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        order = min(self.truncation_order, other.truncation_order)
-        out = [Fraction(0)] * (order + 1)
-        for i, a in enumerate(self.coefficients[: order + 1]):
-            if a == 0:
-                continue
-            for j in range(order + 1 - i):
-                b = other.coefficients[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return PowerSeries(tuple(out))
 
 
 class PontrjaginPolynomial:
@@ -183,104 +175,52 @@ def ahat_char_series(order: int) -> PowerSeries:
 
 
 # ---------------------------------------------------------------------------
-# Formal-root expansion: prod Q(x_i) rewritten in elementary symmetric polys.
+# Generating-function route in the partition basis.  A polynomial in the
+# p_i is a dict from weakly decreasing part tuples to coefficients; the
+# product of two monomials is the sorted concatenation of their parts.
+# The memoized values below are shared between callers and never mutated.
 
-_Mono = tuple[int, ...]  # exponent vector over the formal roots
+_Poly = dict[tuple[int, ...], Fraction]
 
 
-def _root_product(order: int, n_roots: int) -> dict[_Mono, Fraction]:
-    """prod_{i=1..n_roots} Q(x_i) truncated at total degree ``order``.
+@lru_cache(maxsize=None)
+def _log_coeff(m: int) -> Fraction:
+    """c_m, the coefficient of t^m in log Q(t), from
+    m c_m = m lam_m - sum_{j<m} j c_j lam_{m-j}."""
+    acc = m * ahat_char_coeff(m)
+    for j in range(1, m):
+        acc -= j * _log_coeff(j) * ahat_char_coeff(m - j)
+    return acc / m
 
-    The factors share no variables, so the coefficient of x^a is simply
-    prod_i lambda_{a_i}."""
-    lam = [ahat_char_coeff(m) for m in range(order + 1)]
-    out: dict[_Mono, Fraction] = {}
 
-    def fill(prefix: list[int], left: int, coeff: Fraction) -> None:
-        pos = len(prefix)
-        if pos == n_roots:
-            out[tuple(prefix)] = coeff
-            return
-        for e in range(left + 1):
-            c = coeff if e == 0 else coeff * lam[e]
-            if c != 0:
-                fill(prefix + [e], left - e, c)
+def _add_product(out: _Poly, a: _Poly, b: _Poly, scale: Fraction | int) -> None:
+    """out += scale * a * b."""
+    for pa, ca in a.items():
+        for pb, cb in b.items():
+            key = tuple(sorted(pa + pb, reverse=True))
+            out[key] = out.get(key, 0) + scale * ca * cb
 
-    fill([], order, Fraction(1))
+
+@lru_cache(maxsize=None)
+def _power_sum(m: int) -> _Poly:
+    """s_m = sum_i x_i^m in the p_i = e_i(x), by Newton's identities:
+    s_m = sum_{i<m} (-1)^{i-1} p_i s_{m-i} + (-1)^{m-1} m p_m."""
+    out: _Poly = {(m,): Fraction((-1) ** (m - 1) * m)}
+    for i in range(1, m):
+        _add_product(out, {(i,): Fraction(1)}, _power_sum(m - i), (-1) ** (i - 1))
     return out
 
 
 @lru_cache(maxsize=None)
-def _elementary_poly(i: int, n_roots: int) -> tuple[tuple[_Mono, int], ...]:
-    """e_i(x_1..x_{n_roots}) as a sum of squarefree monomials."""
-    monos = []
-    for subset in combinations(range(n_roots), i):
-        exp = [0] * n_roots
-        for pos in subset:
-            exp[pos] = 1
-        monos.append((tuple(exp), 1))
-    return tuple(monos)
-
-
-@lru_cache(maxsize=None)
-def _elementary_monomial(cexp: tuple[int, ...], n_roots: int) -> tuple[tuple[_Mono, int], ...]:
-    """Expansion of prod_i e_i^{cexp[i-1]} in the x variables (homogeneous,
-    so no truncation is involved)."""
-    poly: dict[_Mono, int] = {(0,) * n_roots: 1}
-    for i, e in enumerate(cexp, start=1):
-        base = _elementary_poly(i, n_roots)
-        for _ in range(e):
-            nxt: dict[_Mono, int] = {}
-            for ma, ca in poly.items():
-                for mb, cb in base:
-                    key = tuple(x + y for x, y in zip(ma, mb))
-                    nxt[key] = nxt.get(key, 0) + ca * cb
-            poly = nxt
-    return tuple(poly.items())
-
-
-def _to_elementary(poly: dict[_Mono, Fraction], n_roots: int) -> dict[tuple[int, ...], Fraction]:
-    """Rewrite a symmetric polynomial in the e-basis by leading-term
-    subtraction; keys are the partitions of the corresponding p-monomials."""
-    work = {m: c for m, c in poly.items() if c != 0}
-    out: dict[tuple[int, ...], Fraction] = {}
-    while work:
-        lead = max(work)  # lex-max exponent vector; weakly decreasing by symmetry
-        coeff = work[lead]
-        cexp = tuple(
-            lead[i] - (lead[i + 1] if i + 1 < n_roots else 0) for i in range(n_roots)
-        )
-        if any(c < 0 for c in cexp):
-            raise ValueError("polynomial is not symmetric in the formal roots")
-        parts = []
-        for i, e in enumerate(cexp, start=1):
-            parts.extend([i] * e)
-        out[tuple(sorted(parts, reverse=True))] = coeff
-        for mono, c in _elementary_monomial(cexp, n_roots):
-            new = work.get(mono, Fraction(0)) - coeff * c
-            if new == 0:
-                work.pop(mono, None)
-            else:
-                work[mono] = new
+def _sequence_part(w: int) -> _Poly:
+    """K_w, the weight-w part of exp(sum_m c_m s_m), by the weight
+    recurrence K_0 = 1, w K_w = sum_{m=1..w} m c_m s_m K_{w-m}."""
+    if w == 0:
+        return {(): Fraction(1)}
+    out: _Poly = {}
+    for m in range(1, w + 1):
+        _add_product(out, _power_sum(m), _sequence_part(w - m), Fraction(m, w) * _log_coeff(m))
     return out
-
-
-def _expand_in_elementary(order: int, n_roots: int) -> dict[tuple[int, ...], Fraction]:
-    """All weights 0..order of prod Q(x_i), e-basis, partition-keyed."""
-    return _to_elementary(_root_product(order, n_roots), n_roots)
-
-
-_TABLE_LOCK = threading.Lock()
-_TABLE_CACHE: dict[int, dict[tuple[int, ...], Fraction]] = {}
-
-
-def _cached_expansion(order: int) -> dict[tuple[int, ...], Fraction]:
-    with _TABLE_LOCK:
-        cached = _TABLE_CACHE.get(order)
-        if cached is None:
-            cached = _expand_in_elementary(order, order)
-            _TABLE_CACHE[order] = cached
-    return cached
 
 
 def multiplicative_sequence(k: int) -> PontrjaginPolynomial:
@@ -290,11 +230,9 @@ def multiplicative_sequence(k: int) -> PontrjaginPolynomial:
     """
     if k < 1:
         raise ValueError("degree starts at 1")
-    table = _cached_expansion(k)
-    terms = {
-        Partition(parts): c for parts, c in table.items() if sum(parts) == k
-    }
-    return PontrjaginPolynomial(k, terms)
+    return PontrjaginPolynomial(
+        k, {Partition(parts): c for parts, c in _sequence_part(k).items()}
+    )
 
 
 def _alpha_newton(k: int) -> Fraction:
@@ -315,7 +253,7 @@ def alpha(k: int) -> Fraction:
     """Coefficient of p_k in the degree-k polynomial; equals
     -B_k / (2 (2k)!).
 
-    Computed three ways (Newton extraction, full expansion, closed form)
+    Computed three ways (Newton extraction, full sequence, closed form)
     which must agree exactly; a mismatch raises instead of returning a
     silently wrong value.
     """

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import circleact.bernoulli as bernoulli
 from circleact.bernoulli import (
     BernoulliTable,
     bernoulli_ms,
@@ -75,6 +76,12 @@ def test_odd_half_relation():
         assert 2 * odd_half_denominator(k) == im_j_order(k)
 
 
+def test_odd_half_relation_guard_fires(monkeypatch):
+    monkeypatch.setattr(bernoulli, "im_j_order", lambda k: 0)
+    with pytest.raises(RuntimeError, match="half-denominator relation violated"):
+        odd_half_denominator(3)
+
+
 def test_table_extends_on_demand():
     table = BernoulliTable(3)
     assert table.max_index >= 3
@@ -94,6 +101,13 @@ def test_table_rows_shape():
     rows = table_rows(4)
     assert rows[0] == (1, Fraction(1, 6), 6, 24)
     assert rows[3] == (4, Fraction(1, 30), 30, 480)
+
+
+def test_table_rows_reads_the_shared_table(monkeypatch):
+    shared = BernoulliTable()
+    monkeypatch.setattr(bernoulli, "_SHARED", shared)
+    table_rows(5)
+    assert shared.max_index == 5
 
 
 def test_concurrent_readers_extend_consistently():

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -181,3 +182,27 @@ def test_big_integer_flags(capsys):
     )
     assert code == 0
     assert json.loads(out)["admits"] is True
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_l_beyond_the_interpreter_digit_limit(capsys, fmt):
+    # 4404 digits: over the default 4300-digit int<->str conversion limit
+    big = "1440" + "0" * 4400
+    code, out, err = run(
+        capsys, "classify", "--n", "7", "--bn", "1", "--l", big, "--format", fmt
+    )
+    assert code == 0 and err == ""
+    if fmt == "json":
+        data = json.loads(out, parse_int=str)
+        assert data["witness"]["bundle_divisibility"] == big
+    else:
+        assert f"divisibility {big}" in out
+
+
+def test_main_restores_the_digit_limit(capsys):
+    before = sys.get_int_max_str_digits()
+    run(capsys, "imj", "--k", "2")
+    assert sys.get_int_max_str_digits() == before
+    with pytest.raises(SystemExit):
+        main(["imj"])
+    assert sys.get_int_max_str_digits() == before

@@ -8,7 +8,6 @@ from circleact.bernoulli import bernoulli_ms
 from circleact.genus import (
     Partition,
     PontrjaginPolynomial,
-    PowerSeries,
     ahat_char_coeff,
     ahat_char_series,
     alpha,
@@ -39,14 +38,6 @@ def test_power_series_invariants():
     assert series.coefficient(0) == 1
     with pytest.raises(IndexError):
         series.coefficient(5)
-
-
-def test_power_series_truncated_product():
-    a = PowerSeries((Fraction(1), Fraction(1)))
-    b = PowerSeries((Fraction(1), Fraction(2), Fraction(3)))
-    prod = a * b
-    assert prod.truncation_order == 1
-    assert prod.coefficients == (Fraction(1), Fraction(3))
 
 
 def test_char_coeff_examples():
@@ -101,6 +92,65 @@ def test_degree_four_polynomial():
     assert poly.coefficient((2, 2)) == Fraction(208, denom)
     assert poly.coefficient((3, 1)) == Fraction(512, denom)
     assert poly.coefficient((4,)) == Fraction(-192, denom)
+
+
+# frozen from the formal-root expansion (prod Q(x_i) over k roots rewritten
+# in elementary symmetric polynomials) that computed the sequence before
+# the partition-basis recurrence; keys and their order are the JSON output
+FROZEN_HIGHER_DEGREES = {
+    5: {
+        "5": "-1/95800320",
+        "4,1": "53/1916006400",
+        "3,2": "1/45619200",
+        "3,1,1": "-61/1277337600",
+        "2,2,1": "-311/7664025600",
+        "2,1,1,1": "1073/15328051200",
+        "1,1,1,1,1": "-73/3503554560",
+    },
+    6: {
+        "6": "-691/2615348736000",
+        "5,1": "1219/1743565824000",
+        "4,2": "5767/10461394944000",
+        "4,1,1": "-16759/13948526592000",
+        "3,3": "703/2615348736000",
+        "3,2,1": "-3491/1743565824000",
+        "3,1,1,1": "36221/20922789888000",
+        "2,2,2": "-4009/13948526592000",
+        "2,2,1,1": "76247/33476463820800",
+        "2,1,1,1,1": "-1540453/669529276416000",
+        "1,1,1,1,1,1": "1414477/2678117105664000",
+    },
+    7: {
+        "7": "-1/149448499200",
+        "6,1": "101/5706215424000",
+        "5,2": "1/71735279616",
+        "5,1,1": "-2543/83691159552000",
+        "4,3": "283/20922789888000",
+        "4,2,1": "-67/1328431104000",
+        "4,1,1,1": "2921/66952927641600",
+        "3,3,1": "-97/3923023104000",
+        "3,2,2": "-5359/251073478656000",
+        "3,2,1,1": "56743/502146957312000",
+        "3,1,1,1,1": "-8509/148784283648000",
+        "2,2,2,1": "33463/1004293914624000",
+        "2,2,1,1,1": "-9161/89270570188800",
+        "2,1,1,1,1,1": "1151477/16068702633984000",
+        "1,1,1,1,1,1,1": "-8191/612141052723200",
+    },
+}
+
+
+def test_higher_degrees_match_frozen_table():
+    for k, terms in FROZEN_HIGHER_DEGREES.items():
+        data = multiplicative_sequence(k).to_json_dict()
+        assert data == {"k": k, "terms": terms}
+        assert list(data["terms"]) == list(terms)
+
+
+def test_p1_power_coefficient_is_series_coefficient():
+    # one formal root: K(1 + x) = Q(x), so the p1^k coefficient is lam_k
+    for k in range(1, 11):
+        assert multiplicative_sequence(k).coefficient((1,) * k) == ahat_char_coeff(k)
 
 
 def test_polynomial_terms_have_exact_weight():
@@ -197,5 +247,21 @@ def test_integrality_bound_by_brute_force():
         assert d == integrality_bound(k)
 
 
-def test_multiplicative_on_split_root_sets():
+def test_sequence_is_multiplicative():
     _check_multiplicativity()
+
+
+def test_multiplicativity_check_detects_a_perturbed_coefficient(monkeypatch):
+    original = genus.multiplicative_sequence
+
+    def perturbed(k):
+        poly = original(k)
+        if k != 4:
+            return poly
+        terms = poly.terms
+        terms[Partition((2, 1, 1))] += Fraction(1, 10**9)
+        return PontrjaginPolynomial(k, terms)
+
+    monkeypatch.setattr(genus, "multiplicative_sequence", perturbed)
+    with pytest.raises(AssertionError):
+        _check_multiplicativity()
