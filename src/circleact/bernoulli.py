@@ -1,4 +1,5 @@
-"""Bernoulli numbers in the positive (topologists') convention.
+"""Bernoulli numbers in the positive (topologists') convention, and the
+image-of-J orders den(B_k / 4k).
 
 ``bernoulli_ms(k)`` is the coefficient B_k in the expansion
 
@@ -8,18 +9,28 @@ i.e. ``|B_{2k}|`` in the modern signed convention.  B_1 = 1/6, B_2 = 1/30,
 B_3 = 1/42, ...; every B_k is a positive rational with odd numerator and
 even denominator.
 
-The signed values are produced by the binomial recurrence
-``sum_{j=0}^{m} C(m+1, j) b_j = 0`` (b_0 = 1, b_1 = -1/2) and converted via
-``B_k = (-1)^{k+1} b_{2k}``.  The von Staudt-Clausen product
-``vsc_denominator`` is computed by trial division only, so it stays an
-independent oracle for the denominators.
+``BernoulliTable`` computes them from the tangent numbers T_k (the Taylor
+coefficients of tan z times (2k-1)!) as B_k = 2k T_k / (4^k (4^k - 1)).
+The T_k come from Brent and Harvey's integer recurrence ("Fast computation
+of Bernoulli, Tangent and Secant numbers", 2011): integers only, no gcd per
+step.  The table evaluates it one column at a time, so extending it from
+K to K' costs only the new columns.
+
+``im_j_order(k)`` needs no Bernoulli number at all: by von Staudt-Clausen
+and Adams (On the groups J(X) IV, Topology 5, 1966),
+
+    den(B_k / 4k) = 2^{3 + v_2(k)} * prod_{odd prime p, (p-1) | 2k} p^{1 + v_p(k)},
+
+evaluated from the factorisation of k.  So ``classifier.classify`` (and
+``genus.integrality_bound``) never touch the table.  The trial-division
+product ``vsc_denominator`` stays independent of both paths, as an oracle
+for the denominators.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from math import comb
 
 from .exactnum import den
 
@@ -42,32 +53,45 @@ class BernoulliTable:
 
     def __init__(self, max_index: int = 0) -> None:
         self._lock = threading.Lock()
-        self._signed: list[Fraction] = [Fraction(1)]  # modern b_0, b_1, ...
+        self._values: list[Fraction] = []  # B_1, B_2, ...
+        # Brent-Harvey's recurrence on column K = max_index: entry j is T_K
+        # after pass j + 1; the last entry is T_K itself
+        self._column: list[int] = []
         if max_index > 0:
             self.value(max_index)
 
     @property
     def max_index(self) -> int:
         """Largest k whose B_k is currently cached."""
-        return (len(self._signed) - 1) // 2
+        return len(self._values)
 
     def _extend(self, upto: int) -> None:
-        b = self._signed
-        for m in range(len(b), upto + 1):
-            acc = Fraction(0)
-            for j in range(m):
-                acc += comb(m + 1, j) * b[j]
-            b.append(-acc / (m + 1))
+        # Column i follows from column i - 1: t_i(1) = (i-1) t_{i-1}(1) and
+        # t_i(j) = (i-j) t_{i-1}(j) + (i-j+2) t_i(j-1) for j = 2..i, where
+        # t_i(j) is T_i after pass j of the in-place recurrence
+        col = self._column
+        for i in range(len(self._values) + 1, upto + 1):
+            if i == 1:
+                col = [1]
+            else:
+                prev = (i - 1) * col[0]
+                nxt = [prev]
+                for a, c in zip(range(i - 2, 0, -1), col[1:]):
+                    prev = a * c + (a + 2) * prev
+                    nxt.append(prev)
+                nxt.append(2 * prev)
+                col = nxt
+            self._values.append(Fraction(2 * i * col[-1], 4**i * (4**i - 1)))
+        self._column = col
 
     def value(self, k: int) -> Fraction:
         """B_k in the positive convention; always > 0."""
         if k < 1:
             raise ValueError("index starts at 1")
         with self._lock:
-            if len(self._signed) <= 2 * k:
-                self._extend(2 * k)
-            signed = self._signed[2 * k]
-        return signed if k % 2 == 1 else -signed
+            if len(self._values) < k:
+                self._extend(k)
+            return self._values[k - 1]
 
 
 _SHARED = BernoulliTable()
@@ -92,8 +116,9 @@ def _is_prime(p: int) -> bool:
 def vsc_denominator(k: int) -> int:
     """von Staudt-Clausen denominator: product of primes p with (p-1) | 2k.
 
-    Deliberately computed by trial division, independent of the recurrence,
-    so that it can serve as an oracle for ``den(bernoulli_ms(k))``.
+    Deliberately computed by trial division, independent of the table and
+    of ``im_j_order``, so that it can serve as an oracle for
+    ``den(bernoulli_ms(k))``.
     """
     if k < 1:
         raise ValueError("index starts at 1")
@@ -104,10 +129,73 @@ def vsc_denominator(k: int) -> int:
     return out
 
 
+# Strong-pseudoprime tests to these bases decide primality exactly below
+# _MR_LIMIT (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def _proven_prime(n: int) -> bool:
+    """Exact primality: trial division by the bases, then Miller-Rabin."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= _MR_LIMIT:
+        raise ValueError(f"cannot prove {n} prime: beyond the deterministic Miller-Rabin range")
+    return True
+
+
+def _factorize(k: int) -> dict[int, int]:
+    """Prime factorisation of k >= 1 by trial division."""
+    out: dict[int, int] = {}
+    p = 2
+    while p * p <= k:
+        while k % p == 0:
+            k //= p
+            out[p] = out.get(p, 0) + 1
+        p += 1 if p == 2 else 2
+    if k > 1:
+        out[k] = 1
+    return out
+
+
 def im_j_order(k: int) -> int:
     """den(B_k / 4k): the index of the image of the stable J-homomorphism
-    in pi_{4k}(BO) = Z.  (24, 240, 504, 480, 264, 65520, ... for k >= 1.)"""
-    return den(bernoulli_ms(k) / (4 * k))
+    in pi_{4k}(BO) = Z.  (24, 240, 504, 480, 264, 65520, ... for k >= 1.)
+
+    Closed form of von Staudt-Clausen and Adams: the odd primes p with
+    (p-1) | 2k are the primes among 2d + 1 for the divisors d of k.
+    """
+    if k < 1:
+        raise ValueError("index starts at 1")
+    factors = _factorize(k)
+    divisors = [1]
+    for p, e in factors.items():
+        divisors = [d * p**i for d in divisors for i in range(e + 1)]
+    out = 2 ** (3 + factors.get(2, 0))
+    for d in divisors:
+        p = 2 * d + 1
+        if _proven_prime(p):
+            out *= p ** (1 + factors.get(p, 0))
+    return out
 
 
 def odd_half_denominator(k: int) -> int:
@@ -128,6 +216,7 @@ def table_rows(max_index: int) -> list[tuple[int, Fraction, int, int]]:
     """Rows (k, B_k, den(B_k), den(B_k/4k)) for k = 1..max_index."""
     if max_index < 1:
         raise ValueError("index starts at 1")
+    bernoulli_ms(max_index)  # one extension to max_index, then memo reads
     rows = []
     for k in range(1, max_index + 1):
         b = bernoulli_ms(k)

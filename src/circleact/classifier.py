@@ -217,25 +217,33 @@ def _effective_l(inv: ManifoldInvariants) -> int:
     return 0 if inv.l is None else inv.l
 
 
-def validate(inv: ManifoldInvariants) -> list[str]:
-    """Realizability check; returns a list of violations (empty = ok),
-    never raises."""
+def _divisor_report(inv: ManifoldInvariants) -> DivisorReport | None:
+    """The divisor report when n = 7 (mod 8), else None."""
+    return required_divisor(inv.n) if inv.n % 8 == 7 and inv.n >= 7 else None
+
+
+def _violations(inv: ManifoldInvariants, report: DivisorReport | None) -> list[str]:
     violations: list[str] = []
     if inv.n < 5 or inv.n % 2 == 0 or inv.n % 8 not in (5, 7):
         violations.append("n must be odd, at least 5, and congruent to 5 or 7 mod 8")
     if inv.b_n < 0:
         violations.append("b_n must be nonnegative")
-    if inv.n % 8 == 7 and inv.n >= 7:
+    if report is not None:
         l = _effective_l(inv)
         if l < 0:
             violations.append("l must be nonnegative")
         else:
-            kerv = required_divisor(inv.n).kervaire
-            if l % kerv:
-                violations.append(f"l not divisible by {kerv}")
+            if l % report.kervaire:
+                violations.append(f"l not divisible by {report.kervaire}")
             if inv.b_n == 0 and l != 0:
                 violations.append("l must be 0 when b_n = 0")
     return violations
+
+
+def validate(inv: ManifoldInvariants) -> list[str]:
+    """Realizability check; returns a list of violations (empty = ok),
+    never raises."""
+    return _violations(inv, _divisor_report(inv))
 
 
 def _witness(b_n: int, l: int) -> Witness:
@@ -258,7 +266,8 @@ def classify(inv: ManifoldInvariants) -> ClassificationResult:
     Raises InvalidInvariantsError (carrying the violation list) on inputs
     that fail ``validate``.
     """
-    violations = validate(inv)
+    report = _divisor_report(inv)  # once per decision: validation reuses it
+    violations = _violations(inv, report)
     if violations:
         raise InvalidInvariantsError(violations)
 
@@ -286,7 +295,6 @@ def classify(inv: ManifoldInvariants) -> ClassificationResult:
             notes=tuple(notes),
         )
 
-    report = required_divisor(inv.n)
     l = _effective_l(inv)
     if inv.b_n % 2 == 0:
         reason = ReasonCode.EVEN_L_ZERO if l == 0 else ReasonCode.EVEN_L_NONZERO

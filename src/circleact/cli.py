@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from . import __version__, selftest
@@ -237,7 +238,8 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Entry point; returns the exit code (argparse exits 2 on usage errors).
+    """Entry point; returns the exit code (argparse exits 2 on usage errors,
+    and a reader that closes stdout early gets exit 1 with no message).
 
     The interpreter's int<->str digit limit is lifted while ``main`` runs,
     so numeric flags and outputs of any length convert exactly.
@@ -248,7 +250,15 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args, sys.stdout)
+        code = _COMMANDS[args.command](args, sys.stdout)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader went away (``| head``): point stdout at devnull so the
+        # interpreter's final flush stays quiet, as the signal docs advise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except InvalidInvariantsError as exc:
         error = {
             "admits": False,

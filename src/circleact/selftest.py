@@ -68,6 +68,12 @@ def _check_vsc_oracle() -> None:
         assert b.numerator % 2 == 1 and b.denominator % 2 == 0
 
 
+def _check_closed_form_im_j() -> None:
+    for k in range(1, 61):
+        b = bernoulli.bernoulli_ms(k)
+        assert bernoulli.im_j_order(k) == exactnum.den(b / (4 * k))
+
+
 def _check_odd_half_relation() -> None:
     for k in range(1, 30, 2):
         assert 2 * bernoulli.odd_half_denominator(k) == bernoulli.im_j_order(k)
@@ -286,7 +292,8 @@ CHECKS: list[tuple[str, object]] = [
     ("exactnum: reduce is idempotent", _check_reduce_idempotent),
     ("exactnum: factorial recurrence", _check_factorial_recurrence),
     ("exactnum: arithmetic is exact", _check_exact_arithmetic),
-    ("bernoulli: recurrence matches von Staudt-Clausen", _check_vsc_oracle),
+    ("bernoulli: tangent-number table matches von Staudt-Clausen", _check_vsc_oracle),
+    ("bernoulli: closed-form image-of-J matches den(B_k/4k)", _check_closed_form_im_j),
     ("bernoulli: odd-k half-denominator relation", _check_odd_half_relation),
     ("bernoulli: 24 divides den(B_k/4k)", _check_j_index_divisible_by_24),
     ("genus: alpha three-way agreement", _check_alpha_three_way),

@@ -1,7 +1,11 @@
 import threading
+import time
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import circleact.bernoulli as bernoulli
 from circleact.bernoulli import (
@@ -12,7 +16,24 @@ from circleact.bernoulli import (
     table_rows,
     vsc_denominator,
 )
+from circleact.classifier import ManifoldInvariants, classify
 from circleact.exactnum import den
+
+
+def fraction_recurrence(max_index):
+    """Oracle: B_1..B_max_index in the positive convention from the signed
+    binomial recurrence sum_{j<=m} C(m+1, j) b_j = 0 (b_0 = 1), converted by
+    B_k = (-1)^{k+1} b_{2k}.  Rational arithmetic, independent of the
+    tangent numbers the library uses."""
+    b = [Fraction(1)]
+    for m in range(1, 2 * max_index + 1):
+        b.append(-sum(comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return [b[2 * k] if k % 2 else -b[2 * k] for k in range(1, max_index + 1)]
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    return fraction_recurrence(150)
 
 
 def test_first_values():
@@ -53,6 +74,73 @@ def test_positivity_and_parity_to_30():
 def test_j_index_values():
     # frozen after independent reduction of B_k / 4k by hand for k <= 6
     assert [im_j_order(k) for k in range(1, 7)] == [24, 240, 504, 480, 264, 65520]
+
+
+def test_tangent_table_matches_fraction_recurrence(oracle):
+    table = BernoulliTable()
+    assert [table.value(k) for k in range(1, 151)] == oracle
+    assert [bernoulli_ms(k) for k in range(1, 151)] == oracle
+
+
+def test_closed_form_matches_table_denominators():
+    # two independent production paths: the closed form and the tangent table
+    for k in range(1, 401):
+        assert im_j_order(k) == den(bernoulli_ms(k) / (4 * k)), k
+
+
+def _v2(m):
+    return (m & -m).bit_length() - 1
+
+
+@pytest.mark.parametrize("k", [10**12, 2**40])
+def test_closed_form_for_huge_k(k):
+    start = time.perf_counter()
+    order = im_j_order(k)
+    assert time.perf_counter() - start < 1.0
+    assert _v2(order) == 3 + _v2(k)
+    assert order % 24 == 0
+
+
+def test_closed_form_refuses_an_unproven_prime():
+    # 2 * 3^54 + 1 passes every Miller-Rabin base but lies beyond the range
+    # in which those bases prove primality
+    with pytest.raises(ValueError, match="cannot prove"):
+        im_j_order(3**54)
+
+
+def test_closed_form_needs_no_table(monkeypatch):
+    shared = BernoulliTable()
+    monkeypatch.setattr(bernoulli, "_SHARED", shared)
+    im_j_order(200)
+    classify(ManifoldInvariants(n=1023, b_n=3, l=0))
+    assert shared.max_index == 0
+
+
+def test_cold_table_rows_fills_once(monkeypatch, oracle):
+    shared = BernoulliTable()
+    monkeypatch.setattr(bernoulli, "_SHARED", shared)
+    extend = BernoulliTable._extend
+    fills = []
+
+    def counting(self, upto):
+        fills.append((self.max_index, upto))
+        extend(self, upto)
+
+    monkeypatch.setattr(BernoulliTable, "_extend", counting)
+    rows = table_rows(60)
+    assert fills == [(0, 60)]
+    assert [b for _, b, _, _ in rows] == oracle[:60]
+    table_rows(70)  # extends by the ten new columns only
+    assert fills == [(0, 60), (60, 70)]
+    assert shared.value(70) == oracle[69]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=400))
+def test_closed_form_property(k):
+    assert im_j_order(k) == den(bernoulli_ms(k) / (4 * k))
+    if k % 2:
+        assert 2 * odd_half_denominator(k) == im_j_order(k)
 
 
 def test_j_index_divisible_by_24():

@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+import circleact.classifier as classifier
 from circleact.classifier import (
     InvalidInvariantsError,
     ManifoldInvariants,
@@ -33,6 +34,19 @@ def test_required_divisor_n7():
     assert report.kervaire == 12
     assert report.j_index == 240
     assert report.required == 1440
+
+
+def test_classify_computes_the_divisor_once(monkeypatch):
+    original = classifier.required_divisor
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(classifier, "required_divisor", counting)
+    result = classify(ManifoldInvariants(n=15, b_n=3, l=2419200))
+    assert result.admits and calls == [15]
 
 
 def test_required_divisor_n15():

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import circleact
 from circleact.cli import main
 
 
@@ -206,3 +210,36 @@ def test_main_restores_the_digit_limit(capsys):
     with pytest.raises(SystemExit):
         main(["imj"])
     assert sys.get_int_max_str_digits() == before
+
+
+@pytest.mark.parametrize(
+    "argv, read_first",
+    [
+        # closed before the child writes anything: its final flush hits the pipe
+        (["divisor", "--n", "4095"], 0),
+        # ~140 kB, more than a pipe holds: the child blocks mid-write
+        (["bernoulli", "--max", "300", "--format", "json"], 100),
+    ],
+)
+def test_reader_closing_early_is_quiet(argv, read_first):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(circleact.__file__).parent.parent), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "circleact", *argv],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        head = proc.stdout.read(read_first)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.wait(timeout=60)
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert len(head) == read_first
+    assert err == b""
+    assert proc.returncode == 1
