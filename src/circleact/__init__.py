@@ -13,7 +13,6 @@ from .bernoulli import (
     bernoulli_ms,
     im_j_order,
     odd_half_denominator,
-    vsc_denominator,
 )
 from .classifier import (
     ClassificationResult,
@@ -30,7 +29,6 @@ from .classifier import (
     surgery_obstruction_vanishes,
     validate,
 )
-from .exactnum import Rational, binomial, den, factorial, reduce
 from .genus import (
     Partition,
     PontrjaginPolynomial,
@@ -59,11 +57,8 @@ from .gradedtop import (
 
 __all__ = [
     "__version__",
-    # exactnum
-    "Rational", "reduce", "den", "factorial", "binomial",
     # bernoulli
-    "BernoulliTable", "bernoulli_ms", "vsc_denominator", "im_j_order",
-    "odd_half_denominator",
+    "BernoulliTable", "bernoulli_ms", "im_j_order", "odd_half_denominator",
     # genus
     "Partition", "PowerSeries", "PontrjaginPolynomial", "ahat_char_coeff",
     "ahat_char_series", "multiplicative_sequence", "alpha", "twisted_pairing",

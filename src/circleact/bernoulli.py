@@ -22,22 +22,21 @@ and Adams (On the groups J(X) IV, Topology 5, 1966),
     den(B_k / 4k) = 2^{3 + v_2(k)} * prod_{odd prime p, (p-1) | 2k} p^{1 + v_p(k)},
 
 evaluated from the factorisation of k.  So ``classifier.classify`` (and
-``genus.integrality_bound``) never touch the table.  The trial-division
-product ``vsc_denominator`` stays independent of both paths, as an oracle
-for the denominators.
+``genus.integrality_bound``) never touch the table.  The factorisation
+trial-divides below 2^20 and splits what is left with Pollard-Brent rho
+under a fixed step budget, so every k is answered or refused quickly.
 """
 
 from __future__ import annotations
 
 import threading
 from fractions import Fraction
-
-from .exactnum import den
+from itertools import count
+from math import gcd
 
 __all__ = [
     "BernoulliTable",
     "bernoulli_ms",
-    "vsc_denominator",
     "im_j_order",
     "odd_half_denominator",
     "table_rows",
@@ -102,33 +101,6 @@ def bernoulli_ms(k: int) -> Fraction:
     return _SHARED.value(k)
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def vsc_denominator(k: int) -> int:
-    """von Staudt-Clausen denominator: product of primes p with (p-1) | 2k.
-
-    Deliberately computed by trial division, independent of the table and
-    of ``im_j_order``, so that it can serve as an oracle for
-    ``den(bernoulli_ms(k))``.
-    """
-    if k < 1:
-        raise ValueError("index starts at 1")
-    out = 1
-    for p in range(2, 2 * k + 2):
-        if (2 * k) % (p - 1) == 0 and _is_prime(p):
-            out *= p
-    return out
-
-
 # Strong-pseudoprime tests to these bases decide primality exactly below
 # _MR_LIMIT (Sorenson and Webster, Math. Comp. 86, 2017)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -163,17 +135,63 @@ def _proven_prime(n: int) -> bool:
     return True
 
 
+# Trial division stops below _TRIAL_LIMIT; rho then gets _RHO_STEPS
+# iterations of its map in total, which usually splits a cofactor whose
+# smallest prime factor is below about 2^34 and bounds the time (about
+# 0.25 s) spent on the rest
+_TRIAL_LIMIT = 1 << 20
+_RHO_STEPS = 1 << 18
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of the odd composite n by Pollard-Brent rho, batching
+    128 differences per gcd; ValueError once the step budget is spent."""
+    steps = 0
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            steps += 2 * r
+            if steps > _RHO_STEPS:
+                raise ValueError(f"cannot factor {n} within the Pollard-rho step budget")
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            done = 0
+            while done < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - done)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                done += 128
+            r *= 2
+        if g == n:  # the batch overshot: replay it one difference at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
+
+
 def _factorize(k: int) -> dict[int, int]:
-    """Prime factorisation of k >= 1 by trial division."""
+    """Prime factorisation of k >= 1: trial division below 2^20, then each
+    cofactor is proven prime or split by ``_rho_divisor``."""
     out: dict[int, int] = {}
     p = 2
-    while p * p <= k:
+    while p * p <= k and p < _TRIAL_LIMIT:
         while k % p == 0:
             k //= p
             out[p] = out.get(p, 0) + 1
         p += 1 if p == 2 else 2
-    if k > 1:
-        out[k] = 1
+    pending = [k] if k > 1 else []
+    while pending:
+        m = pending.pop()
+        if m < p * p or _proven_prime(m):  # m has no prime factor below p
+            out[m] = out.get(m, 0) + 1
+        else:
+            d = _rho_divisor(m)
+            pending += [d, m // d]
     return out
 
 
@@ -206,7 +224,7 @@ def odd_half_denominator(k: int) -> int:
     """
     if k % 2 == 0:
         raise ValueError("parity: defined for odd k")
-    out = den(2 * bernoulli_ms(k) / (4 * k))
+    out = (2 * bernoulli_ms(k) / (4 * k)).denominator
     if 2 * out != im_j_order(k):
         raise RuntimeError("half-denominator relation violated")
     return out
@@ -220,5 +238,5 @@ def table_rows(max_index: int) -> list[tuple[int, Fraction, int, int]]:
     rows = []
     for k in range(1, max_index + 1):
         b = bernoulli_ms(k)
-        rows.append((k, b, den(b), den(b / (4 * k))))
+        rows.append((k, b, b.denominator, (b / (4 * k)).denominator))
     return rows

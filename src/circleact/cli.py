@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from . import __version__, selftest
+from . import __version__
 from .bernoulli import im_j_order, table_rows
 from .classifier import (
     InvalidInvariantsError,
@@ -23,7 +23,6 @@ from .classifier import (
     classify,
     required_divisor,
 )
-from .exactnum import format_rational
 from .genus import multiplicative_sequence
 from .gradedtop import Family, gysin_total_space, standard_orbit_model
 
@@ -143,7 +142,7 @@ def _cmd_bernoulli(args, out) -> int:
     rows = table_rows(args.max)
     if args.format == "json":
         payload = [
-            {"k": k, "bernoulli": format_rational(b), "den": d, "j_index": j}
+            {"k": k, "bernoulli": str(b), "den": d, "j_index": j}
             for k, b, d, j in rows
         ]
         print(json.dumps(payload), file=out)
@@ -152,7 +151,7 @@ def _cmd_bernoulli(args, out) -> int:
         writer = csv.writer(buf)
         writer.writerow(["k", "bernoulli", "den", "j_index"])
         for k, b, d, j in rows:
-            writer.writerow([k, format_rational(b), d, j])
+            writer.writerow([k, str(b), d, j])
         out.write(buf.getvalue())
     return 0
 
@@ -210,6 +209,8 @@ def _cmd_recipe(args, out) -> int:
 
 
 def _cmd_selftest(args, out) -> int:
+    from . import selftest  # the suite is only imported when it runs
+
     report = selftest.run(args.only)
     if args.format == "json":
         payload = {

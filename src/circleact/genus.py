@@ -282,7 +282,7 @@ def integrality_bound(k: int) -> int:
     orbit-space candidate is a multiple of this.
 
     This is also the least positive d that is a multiple of the Kervaire
-    step a_k (2k-1)! with alpha_k * d an integer (the test suite checks
+    step a_k (2k-1)! with alpha_k * d an integer (``selftest`` checks
     that by brute-force stepping at small k).
     """
     if k < 1:

@@ -270,6 +270,8 @@ class OrbitModel:
         for j, mat in self.cup_t.items():
             if mat.cols != coh.rank(j) or mat.rows != coh.rank(j + 2):
                 raise ValueError(f"cup map at degree {j} has wrong shape")
+        if self.euler_primitive and self.cup_map(0).entries not in (((1,),), ((-1,),)):
+            raise ValueError("a primitive Euler class needs cup_t[0] = [[1]] or [[-1]]")
 
     def cup_map(self, j: int) -> IntMatrix:
         """Matrix of -cup t: H^j -> H^{j+2}; zero map when not stored."""

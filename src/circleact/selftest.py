@@ -1,81 +1,109 @@
 """Invariant suites for every module, runnable without a test harness.
 
 Each check is a plain function raising AssertionError on failure; ``run``
-executes all of them (or a named subset) and reports pass/fail counts.
+executes all of them (or a named subset) and reports pass/fail counts, and
+pytest collects every entry of ``CHECKS`` as a test of its own.
 ``python -O`` strips assert statements, so there ``run`` reports a single
 failure instead of checks that cannot fail.
-The oracles here are deliberately independent recomputations: trial-division
-von Staudt-Clausen products, gcd-of-minors invariant factors, brute-force
-divisor searches, and the two-variable-set substitution check of
-multiplicativity.
+
+The package's independent oracles live here and nowhere else: the binomial
+Bernoulli recurrence, the trial-division von Staudt-Clausen product, the
+Newton extraction of the p_k coefficient from the Bernoulli numbers, the
+brute-force integrality-bound search, cofactor determinants and
+gcd-of-minors invariant factors, and the two-variable-set substitution
+check of multiplicativity.  Each is a slow recomputation that shares no
+code with the production path it checks.
 """
 
 from __future__ import annotations
 
 import random
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, gcd
+from math import comb, factorial, gcd
 
-from . import bernoulli, classifier, exactnum, genus, gradedtop
-from .classifier import ManifoldInvariants
+from . import bernoulli, classifier, genus, gradedtop
+from .classifier import ManifoldInvariants, ReasonCode
 from .gradedtop import Family, IntMatrix
 
-__all__ = ["SelfTestReport", "run", "CHECKS"]
-
-
-# ---------------------------------------------------------------------------
-# exactnum
-
-def _check_den_of_sum_divides() -> None:
-    rng = random.Random(20240901)
-    for _ in range(300):
-        a = exactnum.reduce(rng.randint(-50, 50), rng.randint(1, 60))
-        b = exactnum.reduce(rng.randint(-50, 50), rng.randint(1, 60))
-        assert (exactnum.den(a) * exactnum.den(b)) % exactnum.den(a + b) == 0
-
-
-def _check_reduce_idempotent() -> None:
-    rng = random.Random(20240902)
-    for _ in range(300):
-        x = exactnum.reduce(rng.randint(-500, 500), rng.choice([1, -1]) * rng.randint(1, 500))
-        again = exactnum.reduce(x.numerator, x.denominator)
-        assert (again.numerator, again.denominator) == (x.numerator, x.denominator)
-
-
-def _check_factorial_recurrence() -> None:
-    for m in range(1, 30):
-        assert exactnum.factorial(m) == m * exactnum.factorial(m - 1)
-
-
-def _check_exact_arithmetic() -> None:
-    rng = random.Random(20240903)
-    for _ in range(300):
-        a = exactnum.reduce(rng.randint(-99, 99), rng.randint(1, 99))
-        c = exactnum.reduce(rng.randint(-99, 99), rng.randint(1, 99))
-        assert (a + c) - c == a
+__all__ = [
+    "SelfTestReport",
+    "run",
+    "CHECKS",
+    "vsc_denominator",
+    "fraction_recurrence",
+    "newton_top_coefficient",
+    "brute_force_bound",
+    "minor_gcd_invariant_factors",
+]
 
 
 # ---------------------------------------------------------------------------
 # bernoulli
 
+def _is_prime(p: int) -> bool:
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def vsc_denominator(k: int) -> int:
+    """von Staudt-Clausen denominator: product of primes p with (p-1) | 2k.
+
+    Computed by trial division, independent of the Bernoulli table and of
+    ``im_j_order``, as an oracle for ``bernoulli_ms(k).denominator``.
+    """
+    if k < 1:
+        raise ValueError("index starts at 1")
+    out = 1
+    for p in range(2, 2 * k + 2):
+        if (2 * k) % (p - 1) == 0 and _is_prime(p):
+            out *= p
+    return out
+
+
+def fraction_recurrence(max_index: int) -> list[Fraction]:
+    """B_1..B_max_index in the positive convention from the signed binomial
+    recurrence sum_{j<=m} C(m+1, j) b_j = 0 (b_0 = 1), converted by
+    B_k = (-1)^{k+1} b_{2k}.  Rational arithmetic, independent of the
+    tangent numbers the library uses."""
+    b = [Fraction(1)]
+    for m in range(1, 2 * max_index + 1):
+        b.append(-sum(comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
+    return [b[2 * k] if k % 2 else -b[2 * k] for k in range(1, max_index + 1)]
+
+
+def _check_tangent_table_against_recurrence() -> None:
+    oracle = fraction_recurrence(150)
+    table = bernoulli.BernoulliTable()
+    assert [table.value(k) for k in range(1, 151)] == oracle
+    assert [bernoulli.bernoulli_ms(k) for k in range(1, 151)] == oracle
+
+
 def _check_vsc_oracle() -> None:
     for k in range(1, 31):
         b = bernoulli.bernoulli_ms(k)
         assert b > 0
-        assert exactnum.den(b) == bernoulli.vsc_denominator(k)
+        assert b.denominator == vsc_denominator(k)
         assert b.numerator % 2 == 1 and b.denominator % 2 == 0
 
 
 def _check_closed_form_im_j() -> None:
-    for k in range(1, 61):
+    # the closed form against the tangent-number table, two independent paths
+    for k in range(1, 401):
         b = bernoulli.bernoulli_ms(k)
-        assert bernoulli.im_j_order(k) == exactnum.den(b / (4 * k))
+        assert bernoulli.im_j_order(k) == (b / (4 * k)).denominator, k
 
 
 def _check_odd_half_relation() -> None:
-    for k in range(1, 30, 2):
+    for k in range(1, 400, 2):
         assert 2 * bernoulli.odd_half_denominator(k) == bernoulli.im_j_order(k)
 
 
@@ -87,30 +115,65 @@ def _check_j_index_divisible_by_24() -> None:
 # ---------------------------------------------------------------------------
 # genus
 
+def _closed_alpha(k: int) -> Fraction:
+    return -bernoulli.bernoulli_ms(k) / (2 * factorial(2 * k))
+
+
+def _series_coefficient(m: int) -> Fraction:
+    """Coefficient of t^m in Q(t), straight from the Bernoulli numbers."""
+    if m == 0:
+        return Fraction(1)
+    return Fraction(
+        (-1) ** m * (2 ** (2 * m) - 2), 2 ** (2 * m) * factorial(2 * m)
+    ) * bernoulli.bernoulli_ms(m)
+
+
+def newton_top_coefficient(k: int) -> Fraction:
+    """Coefficient of p_k in the degree-k polynomial: the power sum s_k of
+    the series coefficients by Newton's identities
+    s_m = lam_1 s_{m-1} - lam_2 s_{m-2} + ... + (-1)^{m-1} m lam_m."""
+    lam = [_series_coefficient(m) for m in range(k + 1)]
+    s = [Fraction(0)] * (k + 1)
+    for m in range(1, k + 1):
+        total = Fraction((-1) ** (m - 1) * m) * lam[m]
+        for i in range(1, m):
+            total += (-1) ** (i - 1) * lam[i] * s[m - i]
+        s[m] = total
+    return s[k]
+
+
+def brute_force_bound(k: int) -> int:
+    """Least positive d divisible by the Kervaire step a_k (2k-1)! with
+    alpha_k * d integral, by stepping through the multiples."""
+    step = (2 if k % 2 else 1) * factorial(2 * k - 1)
+    target = _closed_alpha(k)
+    d = step
+    for _ in range(10 ** 6):
+        if (target * d).denominator == 1:
+            return d
+        d += step
+    raise AssertionError("search budget exceeded")
+
+
 def _check_alpha_three_way() -> None:
     for k in range(1, 9):
-        value = genus.alpha(k)  # raises on any internal mismatch
-        assert value == -bernoulli.bernoulli_ms(k) / (2 * factorial(2 * k))
+        closed = _closed_alpha(k)
+        assert genus.ahat_char_coeff(k) == _series_coefficient(k)
+        assert newton_top_coefficient(k) == closed
+        assert genus.multiplicative_sequence(k).coefficient((k,)) == closed
+        assert genus.alpha(k) == closed  # raises on any internal mismatch
 
 
 def _check_bound_by_brute_force() -> None:
     for k in range(1, 7):
-        a_k = 2 if k % 2 else 1
-        step = a_k * factorial(2 * k - 1)
-        alpha_k = genus.alpha(k)
-        d = step
-        steps = 1
-        while (alpha_k * d).denominator != 1:
-            d += step
-            steps += 1
-            assert steps <= 10 ** 6, "search budget exceeded"
-        assert d == genus.integrality_bound(k)
+        formula = factorial(2 * k - 1) * (bernoulli.bernoulli_ms(k) / (4 * k)).denominator
+        assert brute_force_bound(k) == formula == genus.integrality_bound(k)
 
 
 def _check_pairing_integrality() -> None:
     for k in range(1, 7):
         bound = genus.integrality_bound(k)
-        for m in (1, 2, 3, 7, 100):
+        for m in (1, 2, 3, 5, 7, 99, 100):
             assert genus.twisted_pairing(k, bound * m).denominator == 1
 
 
@@ -185,19 +248,21 @@ def minor_gcd_invariant_factors(mat: IntMatrix) -> tuple[int, ...]:
 
 
 def _check_snf_against_minors() -> None:
-    rng = random.Random(20240904)
-    for _ in range(100):
+    rng = random.Random(424242)
+    for _ in range(200):
         mat = IntMatrix.from_rows(
             [[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)]
         )
         got = gradedtop.smith_normal_form(mat)
-        assert got.invariant_factors == minor_gcd_invariant_factors(mat)
+        expected = minor_gcd_invariant_factors(mat)
+        assert got.invariant_factors == expected
+        assert got.rank == len(expected)
 
 
 def _standard_models():
     for n in (5, 7, 15):
         for family in Family:
-            for r in (0, 1, 3):
+            for r in (0, 1, 2, 3):
                 yield gradedtop.standard_orbit_model(n, family, r)
 
 
@@ -230,68 +295,85 @@ def _check_poincare_duality() -> None:
 # ---------------------------------------------------------------------------
 # classifier
 
-def _check_classifier_gysin_consistency() -> None:
-    for n in (7, 15):
-        required = classifier.required_divisor(n).required
-        for b_n in range(7):
-            for l in (0, required, 2 * required):
-                if b_n == 0 and l:
-                    continue
-                result = classifier.classify(ManifoldInvariants(n, b_n, l))
-                if not result.admits:
-                    continue
-                model = result.orbit.orbit_model()
-                h = gradedtop.gysin_total_space(model)
-                assert h.rank(n) == b_n
-                d = result.orbit.divisibility or 0
-                assert gradedtop.divisibility_transfer(model, d) == l
+_ADMITTING = {ReasonCode.N5_ALWAYS, ReasonCode.EVEN_L_ZERO, ReasonCode.ODD_DIVISIBLE}
+
+
+def _grid(n: int):
+    """Valid invariants of dimension n with b_n < 7 and l on and off the
+    divisor lattice, each with the divisor report of n."""
+    report = classifier.required_divisor(n)
+    required, kervaire = report.required, report.kervaire
+    for b_n in range(7):
+        for l in (0, kervaire, required, 2 * required, 3 * required,
+                  required + kervaire):
+            inv = ManifoldInvariants(n, b_n, l)
+            if not classifier.validate(inv):
+                yield inv, report
 
 
 def _check_parity_predicate() -> None:
+    checked = 0
     for n in (7, 15):
-        report = classifier.required_divisor(n)
-        for b_n in range(7):
-            for l in (0, report.kervaire, report.required, 3 * report.required,
-                      report.required + report.kervaire):
-                inv = ManifoldInvariants(n, b_n, l)
-                if classifier.validate(inv):
-                    continue
-                got = classifier.classify(inv).admits
-                expected = (b_n % 2 == 0 and l == 0) or (
-                    b_n % 2 == 1 and l % report.required == 0
-                )
-                assert got == expected
+        for inv, report in _grid(n):
+            result = classifier.classify(inv)
+            expected = (inv.b_n % 2 == 0 and inv.l == 0) or (
+                inv.b_n % 2 == 1 and inv.l % report.required == 0
+            )
+            assert result.admits == expected
+            assert result.admits == (result.reason in _ADMITTING)
+            checked += 1
+    assert checked >= 50  # the grid must not silently degenerate
+
+
+def _check_classifier_gysin_consistency() -> None:
+    for n in (7, 15):
+        for inv, _ in _grid(n):
+            result = classifier.classify(inv)
+            if not result.admits:
+                continue
+            model = result.orbit.orbit_model()
+            h = gradedtop.gysin_total_space(model)
+            assert h.rank(n) == inv.b_n
+            d = result.orbit.divisibility or 0
+            assert gradedtop.divisibility_transfer(model, d) == inv.l
 
 
 def _check_kervaire_divides_required() -> None:
     for n in range(7, 48, 8):
         report = classifier.required_divisor(n)
         assert report.required % report.kervaire == 0
+        if n != 7:
+            # with a_k = 1 the realizability divisor is exactly ((n-1)/2)!
+            assert report.required == report.kervaire * report.j_index
 
 
 def _check_l_ignored_for_n5() -> None:
-    import warnings as _warnings
-
-    base = classifier.classify(ManifoldInvariants(13, 3))
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore")
-        noisy = classifier.classify(ManifoldInvariants(13, 3, 10 ** 30 + 7))
-    assert (base.admits, base.reason, base.witness, base.orbit) == (
-        noisy.admits, noisy.reason, noisy.witness, noisy.orbit,
-    )
+    for b_n in (3, 4):
+        base = classifier.classify(ManifoldInvariants(13, b_n))
+        for l in (12345, 10 ** 30 + 7):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                noisy = classifier.classify(ManifoldInvariants(13, b_n, l))
+            assert any("ignored" in str(w.message) for w in seen)
+            assert (base.admits, base.reason, base.witness, base.orbit) == (
+                noisy.admits, noisy.reason, noisy.witness, noisy.orbit,
+            )
 
 
 def _check_surgery_parity() -> None:
     for k in range(1, 101):
         assert classifier.euler_char_cp(2 * k - 1) == 2 * k
         assert classifier.surgery_obstruction_vanishes(k) is True
+    try:
+        classifier.surgery_obstruction_vanishes(0)
+    except ValueError:
+        pass
+    else:
+        raise AssertionError("surgery_obstruction_vanishes(0) did not raise")
 
 
 CHECKS: list[tuple[str, object]] = [
-    ("exactnum: den(a+b) divides den(a)*den(b)", _check_den_of_sum_divides),
-    ("exactnum: reduce is idempotent", _check_reduce_idempotent),
-    ("exactnum: factorial recurrence", _check_factorial_recurrence),
-    ("exactnum: arithmetic is exact", _check_exact_arithmetic),
+    ("bernoulli: tangent-number table matches the binomial recurrence", _check_tangent_table_against_recurrence),
     ("bernoulli: tangent-number table matches von Staudt-Clausen", _check_vsc_oracle),
     ("bernoulli: closed-form image-of-J matches den(B_k/4k)", _check_closed_form_im_j),
     ("bernoulli: odd-k half-denominator relation", _check_odd_half_relation),

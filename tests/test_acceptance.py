@@ -1,35 +1,22 @@
-"""Acceptance suite: one test per criterion, each self-contained.
+"""Acceptance suite: one test per criterion.
 
-Every expected value below was recomputed independently (hand reduction or
-a brute-force oracle implemented inline) before being frozen; no test
-trusts the code path it is checking.  Run with ``pytest -v`` (add ``-s`` to
-see the per-criterion pass lines).
+Frozen values were recomputed independently (by hand reduction) before
+being frozen; the other criteria run the ``circleact.selftest`` checks,
+whose oracles share no code with the paths they check.  Run with
+``pytest -v`` (add ``-s`` to see the per-criterion pass lines).
 """
 
 import functools
-import random
-from fractions import Fraction
-from itertools import combinations
-from math import factorial, gcd
+from math import gcd
 
+from circleact import selftest
 from circleact.bernoulli import bernoulli_ms, im_j_order
-from circleact.classifier import (
-    ManifoldInvariants,
-    ReasonCode,
-    classify,
-    euler_char_cp,
-    required_divisor,
-    surgery_obstruction_vanishes,
-    validate,
-)
-from circleact.genus import alpha, integrality_bound, multiplicative_sequence
+from circleact.classifier import required_divisor
 from circleact.gradedtop import (
     Family,
     GradedGroup,
-    IntMatrix,
     divisibility_transfer,
     gysin_total_space,
-    smith_normal_form,
     standard_orbit_model,
 )
 
@@ -54,33 +41,9 @@ def criterion(num, name):
 # criterion 1: Bernoulli denominators match the von Staudt-Clausen product,
 # with positivity and numerator/denominator parity, for k = 1..30.  Exact.
 
-def _trial_division_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _vsc_product(k):
-    out = 1
-    for p in range(2, 2 * k + 2):
-        if _trial_division_prime(p) and (2 * k) % (p - 1) == 0:
-            out *= p
-    return out
-
-
 @criterion(1, "Bernoulli oracle equivalence")
 def test_criterion_1_bernoulli_vs_von_staudt_clausen():
-    for k in range(1, 31):
-        b = bernoulli_ms(k)
-        assert b > 0
-        assert b.denominator == _vsc_product(k)
-        assert b.numerator % 2 == 1
-        assert b.denominator % 2 == 0
+    selftest._check_vsc_oracle()
 
 
 # --------------------------------------------------------------------------
@@ -98,55 +61,23 @@ def test_criterion_2_j_index_values():
 
 
 # --------------------------------------------------------------------------
-# criterion 3: three-way agreement of the p_k coefficient for k = 1..8.
-# Newton extraction is re-implemented inline; exact equality of fractions.
-
-def _lam(m):
-    if m == 0:
-        return Fraction(1)
-    return Fraction((-1) ** m * (2 ** (2 * m) - 2), 2 ** (2 * m) * factorial(2 * m)) * bernoulli_ms(m)
-
-
-def _newton_top_coefficient(k):
-    s = [Fraction(0)] * (k + 1)
-    for m in range(1, k + 1):
-        total = Fraction((-1) ** (m - 1) * m) * _lam(m)
-        for i in range(1, m):
-            total += (-1) ** (i - 1) * _lam(i) * s[m - i]
-        s[m] = total
-    return s[k]
-
+# criterion 3: three-way agreement of the p_k coefficient for k = 1..8:
+# Newton extraction from the Bernoulli numbers, the full sequence and the
+# closed form, and alpha itself.  Exact equality of fractions.
 
 @criterion(3, "alpha three-way agreement")
 def test_criterion_3_alpha_three_ways():
-    for k in range(1, 9):
-        closed = -bernoulli_ms(k) / (2 * factorial(2 * k))
-        newton = _newton_top_coefficient(k)
-        expansion = multiplicative_sequence(k).coefficient((k,))
-        assert newton == expansion == closed
-        assert alpha(k) == closed
+    selftest._check_alpha_three_way()
 
 
 # --------------------------------------------------------------------------
-# criterion 4: for k in {2, 3, 4}, the least positive d divisible by
+# criterion 4: for k = 1..6, the least positive d divisible by
 # a_k (2k-1)! with alpha_k * d integral equals (2k-1)! * den(B_k/4k),
 # found by stepping through multiples (well under 10^6 steps).
 
 @criterion(4, "integrality bound by brute force")
 def test_criterion_4_brute_force_bound():
-    for k in (2, 3, 4):
-        a_k = 2 if k % 2 else 1
-        step = a_k * factorial(2 * k - 1)
-        target = -bernoulli_ms(k) / (2 * factorial(2 * k))
-        d = step
-        steps = 1
-        while (target * d).denominator != 1:
-            d += step
-            steps += 1
-            assert steps <= 10 ** 6
-        formula = factorial(2 * k - 1) * (bernoulli_ms(k) / (4 * k)).denominator
-        assert d == formula
-        assert integrality_bound(k) == formula
+    selftest._check_bound_by_brute_force()
 
 
 # --------------------------------------------------------------------------
@@ -183,33 +114,9 @@ def test_criterion_5_gysin_known_spaces():
 # criterion 6: classify agrees with the parity/divisibility predicate on
 # the full grid of valid inputs.  Exact.
 
-_ADMITTING = {ReasonCode.N5_ALWAYS, ReasonCode.EVEN_L_ZERO, ReasonCode.ODD_DIVISIBLE}
-
-
-def _grid(n):
-    report = required_divisor(n)
-    ls = (0, report.kervaire, report.required, 3 * report.required,
-          report.required + report.kervaire)
-    for b_n in range(7):
-        for l in ls:
-            inv = ManifoldInvariants(n, b_n, l)
-            if not validate(inv):
-                yield inv, report
-
-
 @criterion(6, "decision truth table")
 def test_criterion_6_truth_table():
-    checked = 0
-    for n in (7, 15):
-        for inv, report in _grid(n):
-            result = classify(inv)
-            expected = (inv.b_n % 2 == 0 and inv.l == 0) or (
-                inv.b_n % 2 == 1 and inv.l % report.required == 0
-            )
-            assert result.admits == expected
-            assert result.admits == (result.reason in _ADMITTING)
-            checked += 1
-    assert checked >= 50  # the grid must not silently degenerate
+    selftest._check_parity_predicate()
 
 
 # --------------------------------------------------------------------------
@@ -218,56 +125,16 @@ def test_criterion_6_truth_table():
 
 @criterion(7, "classifier/Gysin round trip")
 def test_criterion_7_round_trip():
-    for n in (7, 15):
-        for inv, _ in _grid(n):
-            result = classify(inv)
-            if not result.admits:
-                continue
-            model = result.orbit.orbit_model()
-            h = gysin_total_space(model)
-            assert h.rank(n) == inv.b_n
-            assert divisibility_transfer(model, result.orbit.divisibility or 0) == inv.l
+    selftest._check_classifier_gysin_consistency()
 
 
 # --------------------------------------------------------------------------
 # criterion 8: Smith normal form against a gcd-of-minors brute force on 200
 # random 3x3 matrices.  Exact.
 
-def _det(rows):
-    if len(rows) == 1:
-        return rows[0][0]
-    total = 0
-    for j, head in enumerate(rows[0]):
-        if head:
-            minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-            total += (-1) ** j * head * _det(minor)
-    return total
-
-
-def _minor_factors(entries):
-    factors = []
-    previous = 1
-    for k in range(1, 4):
-        g = 0
-        for rset in combinations(range(3), k):
-            for cset in combinations(range(3), k):
-                g = gcd(g, _det([[entries[i][j] for j in cset] for i in rset]))
-        if g == 0:
-            break
-        factors.append(g // previous)
-        previous = g
-    return tuple(factors)
-
-
 @criterion(8, "SNF vs gcd-of-minors oracle")
 def test_criterion_8_snf_oracle():
-    rng = random.Random(424242)
-    for _ in range(200):
-        entries = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)]
-        got = smith_normal_form(IntMatrix.from_rows(entries))
-        expected = _minor_factors(entries)
-        assert got.invariant_factors == expected
-        assert got.rank == len(expected)
+    selftest._check_snf_against_minors()
 
 
 # --------------------------------------------------------------------------
@@ -276,6 +143,4 @@ def test_criterion_8_snf_oracle():
 
 @criterion(9, "surgery obstruction parity")
 def test_criterion_9_surgery_parity():
-    for k in range(1, 101):
-        assert euler_char_cp(2 * k - 1) == 2 * k
-        assert surgery_obstruction_vanishes(k) is True
+    selftest._check_surgery_parity()

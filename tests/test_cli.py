@@ -74,9 +74,11 @@ def test_imj(capsys):
 
 
 def test_imj_domain_error(capsys):
-    code, _, err = run(capsys, "imj", "--k", "0")
-    assert code == 1
-    assert "error" in json.loads(err)
+    # k = 0, and a product of two 61-bit primes that rho cannot split
+    for k in ("0", str(2305843009213693967 * 2305843009213693973)):
+        code, _, err = run(capsys, "imj", "--k", k)
+        assert code == 1
+        assert "error" in json.loads(err)
 
 
 def test_bernoulli_csv(capsys):
