@@ -13,6 +13,7 @@ from circleact.bernoulli import (
     table_rows,
 )
 from circleact.classifier import ManifoldInvariants, classify
+from circleact import selftest
 from circleact.selftest import fraction_recurrence, vsc_denominator
 
 
@@ -44,6 +45,20 @@ def _v2(m):
 
 # the last two are a 16- and a 20-digit prime: trial division would take
 # about sqrt(k) steps on them
+# the oracle checks live in circleact.selftest; these tests run them
+
+def test_vsc_oracle_equivalence_to_30():
+    selftest._check_vsc_oracle()
+
+
+def test_tangent_table_matches_fraction_recurrence():
+    selftest._check_tangent_table_against_recurrence()
+
+
+def test_closed_form_matches_table_denominators():
+    selftest._check_closed_form_im_j()
+
+
 @pytest.mark.parametrize("k", [10**12, 2**40, 1000000000000037, 10000000000000000051])
 def test_closed_form_for_huge_k(k):
     start = time.perf_counter()
@@ -103,6 +118,10 @@ def test_cold_table_rows_fills_once(monkeypatch):
     assert shared.value(70) == oracle[69]
 
 
+def test_j_index_divisible_by_24():
+    selftest._check_j_index_divisible_by_24()
+
+
 def test_odd_half_denominator_examples():
     assert odd_half_denominator(1) == 12
     assert odd_half_denominator(3) == 252
@@ -112,6 +131,10 @@ def test_odd_half_denominator_examples():
 def test_odd_half_denominator_rejects_even():
     with pytest.raises(ValueError, match="parity"):
         odd_half_denominator(2)
+
+
+def test_odd_half_relation():
+    selftest._check_odd_half_relation()
 
 
 def test_odd_half_relation_guard_fires(monkeypatch):

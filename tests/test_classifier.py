@@ -15,6 +15,7 @@ from circleact.classifier import (
     required_divisor,
     validate,
 )
+from circleact import selftest
 from circleact.gradedtop import Family
 
 
@@ -65,6 +66,10 @@ def test_required_divisor_rejects_other_dimensions():
     for n in (5, 8, 9, 13, 14):
         with pytest.raises(ValueError, match="7"):
             required_divisor(n)
+
+
+def test_kervaire_divides_required_up_to_47():
+    selftest._check_kervaire_divides_required()
 
 
 def test_validate_examples():
@@ -135,6 +140,20 @@ def test_classify_raises_with_violations():
     assert err.value.violations == ["l not divisible by 12"]
 
 
+def test_classify_ignores_l_for_n5():
+    selftest._check_l_ignored_for_n5()
+
+
+@pytest.mark.parametrize("n", [7, 15])
+def test_truth_table_matches_parity_predicate(n):
+    selftest._check_parity_predicate(dims=(n,))
+
+
+@pytest.mark.parametrize("n", [7, 15])
+def test_round_trip_through_gysin(n):
+    selftest._check_classifier_gysin_consistency(dims=(n,))
+
+
 def test_orbit_recipe_descriptions():
     recipe = classify(ManifoldInvariants(15, 3, 2419200)).orbit
     text = recipe.describe()
@@ -170,6 +189,10 @@ def test_euler_char_cp():
     assert euler_char_cp(9) == 10
     with pytest.raises(ValueError):
         euler_char_cp(-1)
+
+
+def test_surgery_obstruction_parity():
+    selftest._check_surgery_parity()
 
 
 def test_big_l_values_stay_exact():

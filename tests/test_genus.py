@@ -13,7 +13,12 @@ from circleact.genus import (
     multiplicative_sequence,
     twisted_pairing,
 )
-from circleact.selftest import _check_multiplicativity
+from circleact.selftest import (
+    _check_alpha_three_way,
+    _check_bound_by_brute_force,
+    _check_multiplicativity,
+    _check_pairing_integrality,
+)
 
 
 def test_partition_basics():
@@ -194,6 +199,10 @@ def test_alpha_rejects_zero():
         alpha(0)
 
 
+def test_alpha_three_way_agreement():
+    _check_alpha_three_way()
+
+
 def test_twisted_pairing_examples():
     assert twisted_pairing(1, 24) == -1
     assert twisted_pairing(2, 0) == 0
@@ -204,6 +213,18 @@ def test_integrality_bound_examples():
     assert integrality_bound(1) == 24
     assert integrality_bound(2) == 1440
     assert integrality_bound(4) == 2419200
+
+
+def test_pairing_integral_on_bound_multiples():
+    _check_pairing_integrality()
+
+
+def test_integrality_bound_by_brute_force():
+    _check_bound_by_brute_force()
+
+
+def test_sequence_is_multiplicative():
+    _check_multiplicativity()
 
 
 def test_multiplicativity_check_detects_a_perturbed_coefficient(monkeypatch):

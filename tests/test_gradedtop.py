@@ -19,6 +19,7 @@ from circleact.gradedtop import (
     smith_normal_form,
     standard_orbit_model,
 )
+from circleact import selftest
 from circleact.selftest import _det, minor_gcd_invariant_factors
 
 
@@ -68,6 +69,10 @@ def test_snf_divisibility_chain_random():
         factors = smith_normal_form(mat).invariant_factors
         assert all(d >= 1 for d in factors)
         assert all(factors[i + 1] % factors[i] == 0 for i in range(len(factors) - 1))
+
+
+def test_snf_against_minor_gcds_random():
+    selftest._check_snf_against_minors()
 
 
 @st.composite
@@ -204,6 +209,15 @@ def test_check_highly_connected():
     assert not check_highly_connected(torsion_in_middle, 7)
     low_degree_class = GradedGroup.from_ranks(15, {0: 1, 3: 1, 15: 1})
     assert not check_highly_connected(low_degree_class, 7)
+
+
+def test_gysin_outputs_highly_connected():
+    selftest._check_gysin_round_trip()
+
+
+def test_euler_characteristic_and_duality():
+    selftest._check_euler_characteristic_conservation()
+    selftest._check_poincare_duality()
 
 
 def test_divisibility_transfer():
