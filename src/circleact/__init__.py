@@ -32,9 +32,7 @@ from .classifier import (
 from .genus import (
     Partition,
     PontrjaginPolynomial,
-    PowerSeries,
     ahat_char_coeff,
-    ahat_char_series,
     alpha,
     integrality_bound,
     multiplicative_sequence,
@@ -60,9 +58,8 @@ __all__ = [
     # bernoulli
     "BernoulliTable", "bernoulli_ms", "im_j_order", "odd_half_denominator",
     # genus
-    "Partition", "PowerSeries", "PontrjaginPolynomial", "ahat_char_coeff",
-    "ahat_char_series", "multiplicative_sequence", "alpha", "twisted_pairing",
-    "integrality_bound",
+    "Partition", "PontrjaginPolynomial", "ahat_char_coeff",
+    "multiplicative_sequence", "alpha", "twisted_pairing", "integrality_bound",
     # gradedtop
     "IntMatrix", "SNFResult", "smith_normal_form", "kernel_rank", "cokernel",
     "GradedGroup", "Family", "OrbitModel", "standard_orbit_model",

@@ -201,13 +201,14 @@ def required_divisor(n: int) -> DivisorReport:
         raise ValueError("divisor defined only for n = 7 (mod 8)")
     k = (n + 1) // 4
     a_k = kervaire_coefficient(k)  # k is even here, so a_k = 1
-    kervaire = a_k * factorial(2 * k - 1)
+    step = factorial(2 * k - 1)  # (2k-1)! = ((n-1)/2)!
+    kervaire = a_k * step
     if n == 7:
         # Hopf-invariant-one dimension: the tangential obstruction is an
         # even multiple of a primitive class, doubling the divisor to 12
-        kervaire = 2 * factorial(2 * k - 1)
+        kervaire = 2 * step
     j_index = im_j_order(k)
-    required = factorial((n - 1) // 2) * j_index
+    required = step * j_index
     return DivisorReport(
         n=n, k=k, a_k=a_k, kervaire=kervaire, j_index=j_index, required=required
     )

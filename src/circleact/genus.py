@@ -34,10 +34,8 @@ from .bernoulli import bernoulli_ms, im_j_order
 
 __all__ = [
     "Partition",
-    "PowerSeries",
     "PontrjaginPolynomial",
     "ahat_char_coeff",
-    "ahat_char_series",
     "multiplicative_sequence",
     "alpha",
     "twisted_pairing",
@@ -70,33 +68,6 @@ class Partition:
     @classmethod
     def from_string(cls, text: str) -> "Partition":
         return cls(tuple(int(p) for p in text.split(",")))
-
-
-@dataclass(frozen=True)
-class PowerSeries:
-    """Rational power series truncated at a fixed order.
-
-    ``coefficients[m]`` is the coefficient of t^m; reading beyond the
-    truncation order raises.
-    """
-
-    coefficients: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if not self.coefficients:
-            raise ValueError("a truncated series needs at least the constant term")
-        object.__setattr__(
-            self, "coefficients", tuple(Fraction(c) for c in self.coefficients)
-        )
-
-    @property
-    def truncation_order(self) -> int:
-        return len(self.coefficients) - 1
-
-    def coefficient(self, m: int) -> Fraction:
-        if not 0 <= m <= self.truncation_order:
-            raise IndexError("coefficient beyond truncation order")
-        return self.coefficients[m]
 
 
 class PontrjaginPolynomial:
@@ -167,13 +138,6 @@ def ahat_char_coeff(m: int) -> Fraction:
     return Fraction(sign * (2 ** (2 * m) - 2), 2 ** (2 * m) * factorial(2 * m)) * bernoulli_ms(m)
 
 
-def ahat_char_series(order: int) -> PowerSeries:
-    """Q(t) truncated at the given order."""
-    if order < 0:
-        raise ValueError("truncation order must be nonnegative")
-    return PowerSeries(tuple(ahat_char_coeff(m) for m in range(order + 1)))
-
-
 # ---------------------------------------------------------------------------
 # Generating-function route in the partition basis.  A polynomial in the
 # p_i is a dict from weakly decreasing part tuples to coefficients; the
@@ -239,12 +203,12 @@ def _alpha_newton(k: int) -> Fraction:
     """Coefficient of p_k extracted by Newton's identities applied to the
     series coefficients: s_m = lam_1 s_{m-1} - lam_2 s_{m-2} + ...
     + (-1)^{m-1} m lam_m."""
-    series = ahat_char_series(k)
+    lam = [ahat_char_coeff(m) for m in range(k + 1)]
     s = [Fraction(0)] * (k + 1)
     for m in range(1, k + 1):
-        acc = Fraction((-1) ** (m - 1) * m) * series.coefficient(m)
+        acc = Fraction((-1) ** (m - 1) * m) * lam[m]
         for i in range(1, m):
-            acc += (-1) ** (i - 1) * series.coefficient(i) * s[m - i]
+            acc += (-1) ** (i - 1) * lam[i] * s[m - i]
         s[m] = acc
     return s[k]
 

@@ -142,16 +142,15 @@ def smith_normal_form(mat: IntMatrix) -> SNFResult:
     return SNFResult(invariant_factors=tuple(factors), rank=len(factors))
 
 
-def kernel_rank(mat: IntMatrix, snf: SNFResult | None = None) -> int:
+def kernel_rank(mat: IntMatrix) -> int:
     """Rank of the kernel: cols - rank (kernels over Z are free)."""
-    snf = snf or smith_normal_form(mat)
-    return mat.cols - snf.rank
+    return mat.cols - smith_normal_form(mat).rank
 
 
-def cokernel(mat: IntMatrix, snf: SNFResult | None = None) -> tuple[int, tuple[int, ...]]:
+def cokernel(mat: IntMatrix) -> tuple[int, tuple[int, ...]]:
     """Cokernel as (free rank, torsion coefficients): Z^{rows-rank} plus
     Z/d_i for each invariant factor d_i > 1."""
-    snf = snf or smith_normal_form(mat)
+    snf = smith_normal_form(mat)
     torsion = tuple(d for d in snf.invariant_factors if d > 1)
     return mat.rows - snf.rank, torsion
 
@@ -188,6 +187,9 @@ class GradedGroup:
         torsion: dict[int, tuple[int, ...]] | None = None,
     ) -> "GradedGroup":
         torsion = torsion or {}
+        for j in ranks.keys() | torsion.keys():
+            if not 0 <= j <= top_degree:
+                raise ValueError(f"degree {j} outside 0..{top_degree}")
         return cls(
             top_degree,
             tuple(ranks.get(j, 0) for j in range(top_degree + 1)),
@@ -268,6 +270,8 @@ class OrbitModel:
             if coh.rank(j) != coh.rank(2 * self.n - j):
                 raise ValueError("ranks must satisfy Poincare duality")
         for j, mat in self.cup_t.items():
+            if not 0 <= j <= 2 * self.n - 2:
+                raise ValueError(f"cup map at degree {j} outside 0..{2 * self.n - 2}")
             if mat.cols != coh.rank(j) or mat.rows != coh.rank(j + 2):
                 raise ValueError(f"cup map at degree {j} has wrong shape")
         if self.euler_primitive and self.cup_map(0).entries not in (((1,),), ((-1,),)):
@@ -321,39 +325,13 @@ def standard_orbit_model(n: int, family: Family | str, r: int) -> OrbitModel:
     if r < 0:
         raise ValueError("handle count must be nonnegative")
     family = Family(family)
-    half = (n - 1) // 2
-
-    ranks = [0] * (2 * n + 1)
-    if family is Family.CPN:
-        # H*(CP^n): Z t^a in degree 2a, 0 <= a <= n
-        for a in range(n + 1):
-            ranks[2 * a] += 1
-    else:
-        # Kunneth on CP^half x S^{n+1}: Z t^a in degree 2a (a <= half)
-        # and Z t^a s in degree n+1+2a (s the sphere class)
-        for a in range(half + 1):
-            ranks[2 * a] += 1
-            ranks[n + 1 + 2 * a] += 1
+    ranks = [1 - j % 2 for j in range(2 * n + 1)]
     ranks[n] += 2 * r  # handles: r copies of S^n x S^n
-
-    cup: dict[int, IntMatrix] = {}
-    for j in range(2 * n - 1):
-        src, tgt = ranks[j], ranks[j + 2]
-        if src == 0 and tgt == 0:
-            continue
-        if src == 1 and tgt == 1:
-            if family is Family.CPN:
-                entry = 1  # t^a -> t^{a+1}, always onto a generator
-            else:
-                # within the projective part (or its sphere translate) cup
-                # with t is onto a generator; from degree n-1 it is zero
-                entry = 0 if j == n - 1 else 1
-            cup[j] = IntMatrix.from_rows([[entry]])
-        else:
-            # handle classes multiply to zero with t (degree n source);
-            # mixed shapes only occur with a zero side
-            cup[j] = IntMatrix.zeros(tgt, src)
-
+    # t^a -> t^{a+1} (or its sphere translate) is onto a generator; handle
+    # classes and the degree-n-1 class of the product family go to zero
+    dead = n - 1 if family is Family.CPHALF_TIMES_SPHERE else None
+    unit = IntMatrix.from_rows([[1]])
+    cup = {j: unit for j in range(0, 2 * n - 1, 2) if j != dead}
     cohomology = GradedGroup(
         2 * n, tuple(ranks), tuple(() for _ in range(2 * n + 1))
     )
@@ -364,22 +342,28 @@ def standard_orbit_model(n: int, family: Family | str, r: int) -> OrbitModel:
 
 def gysin_total_space(model: OrbitModel) -> GradedGroup:
     """Cohomology of the circle-bundle total space over the model, assembled
-    degreewise from the cokernel/kernel short exact sequences."""
+    degreewise from the cokernel/kernel short exact sequences.
+
+    One Smith normal form per stored cup map gives its torsion check and
+    its image rank; a degree without a stored map is the zero map.
+    """
     if not model.euler_primitive:
         raise ValueError("Euler class must generate H^2")
-    n = model.n
-    ranks: list[int] = []
-    for j in range(2 * n + 2):
-        coker_free, coker_torsion = cokernel(model.cup_map(j - 2))
+    image: dict[int, int] = {}
+    for j, mat in sorted(model.cup_t.items()):
+        coker_free, coker_torsion = cokernel(mat)
         if coker_torsion:
             raise ArithmeticError(
-                f"cup-with-t cokernel at degree {j} has torsion {coker_torsion}; "
+                f"cup-with-t cokernel at degree {j + 2} has torsion {coker_torsion}; "
                 "extension undetermined for this model"
             )
-        ranks.append(coker_free + kernel_rank(model.cup_map(j - 1)))
-    return GradedGroup(
-        2 * n + 1, tuple(ranks), tuple(() for _ in range(2 * n + 2))
+        image[j] = mat.rows - coker_free
+    n, coh = model.n, model.cohomology
+    ranks = tuple(
+        coh.rank(j) - image.get(j - 2, 0) + coh.rank(j - 1) - image.get(j - 1, 0)
+        for j in range(2 * n + 2)
     )
+    return GradedGroup(2 * n + 1, ranks, tuple(() for _ in range(2 * n + 2)))
 
 
 def check_highly_connected(h: GradedGroup, n: int) -> bool:

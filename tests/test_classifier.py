@@ -48,6 +48,22 @@ def test_classify_computes_the_divisor_once(monkeypatch):
     assert result.admits and calls == [15]
 
 
+def test_required_divisor_builds_one_factorial(monkeypatch):
+    # ((n-1)/2)! and (2k-1)! are the same number
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return factorial(m)
+
+    monkeypatch.setattr(classifier, "factorial", counting)
+    for n in (7, 15, 23, 1023):
+        calls.clear()
+        report = required_divisor(n)
+        assert calls == [(n - 1) // 2]
+        assert report.required == factorial((n - 1) // 2) * report.j_index
+
+
 def test_required_divisor_n15():
     report = required_divisor(15)
     assert report.kervaire == 5040

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import circleact
+from circleact import selftest
 from circleact.cli import main
 
 
@@ -174,11 +175,38 @@ def test_selftest_subset(capsys):
     assert "failed 0" in out
 
 
-def test_selftest_full_run_passes(capsys):
+# Cheap real checks: the CLI path of a full run is tested on these, since
+# tests/test_selftest.py already runs every check once.
+_CHEAP_CHECKS = ("24 divides", "realizability divisor", "l never consulted", "surgery")
+
+
+def _cheap_checks():
+    return [(name, check) for name, check in selftest.CHECKS
+            if any(q in name for q in _CHEAP_CHECKS)]
+
+
+def test_selftest_full_run_passes(capsys, monkeypatch):
+    monkeypatch.setattr(selftest, "CHECKS", _cheap_checks())
     code, out, _ = run(capsys, "selftest")
     assert code == 0
-    assert "failed 0" in out
+    assert f"passed {len(_CHEAP_CHECKS)}, failed 0" in out
     assert "FAIL" not in out
+
+
+def test_selftest_reports_a_failing_check(capsys, monkeypatch):
+    def broken():
+        raise AssertionError("forced")
+
+    monkeypatch.setattr(selftest, "CHECKS", _cheap_checks() + [("forced failure", broken)])
+    code, out, _ = run(capsys, "selftest")
+    assert code == 1
+    assert "FAIL forced failure: AssertionError: forced" in out
+    assert f"passed {len(_CHEAP_CHECKS)}, failed 1" in out
+    code, out, _ = run(capsys, "selftest", "--format", "json")
+    assert code == 1
+    data = json.loads(out)
+    assert (data["passed"], data["failed"]) == (len(_CHEAP_CHECKS), 1)
+    assert data["failures"] == [{"name": "forced failure", "error": "AssertionError: forced"}]
 
 
 def test_big_integer_flags(capsys):

@@ -7,7 +7,6 @@ from circleact.genus import (
     Partition,
     PontrjaginPolynomial,
     ahat_char_coeff,
-    ahat_char_series,
     alpha,
     integrality_bound,
     multiplicative_sequence,
@@ -33,14 +32,6 @@ def test_partition_validation():
         Partition((1, 2))
     with pytest.raises(ValueError):
         Partition((2, 0))
-
-
-def test_power_series_invariants():
-    series = ahat_char_series(4)
-    assert series.truncation_order == 4
-    assert series.coefficient(0) == 1
-    with pytest.raises(IndexError):
-        series.coefficient(5)
 
 
 def test_char_coeff_examples():

@@ -1,3 +1,4 @@
+import inspect
 import json
 import random
 from math import prod
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import circleact.gradedtop as gradedtop
 from circleact.gradedtop import (
     Family,
     GradedGroup,
@@ -109,6 +111,11 @@ def test_kernel_and_cokernel():
     assert cokernel(tall) == (2, ())
 
 
+def test_kernel_and_cokernel_compute_their_own_snf():
+    for fn in (kernel_rank, cokernel):
+        assert list(inspect.signature(fn).parameters) == ["mat"]
+
+
 def test_graded_group_accessors():
     g = GradedGroup.from_ranks(3, {0: 1, 3: 2}, {2: (2,)})
     assert g.rank(0) == 1 and g.rank(3) == 2 and g.rank(7) == 0
@@ -128,6 +135,35 @@ def test_graded_group_validation():
 def test_graded_group_json_round_trip():
     g = GradedGroup.from_ranks(4, {0: 1, 2: 3}, {3: (2, 4)})
     assert GradedGroup.from_json_dict(json.loads(json.dumps(g.to_json_dict()))) == g
+
+
+def test_graded_group_json_rejects_out_of_range_degrees():
+    # these used to load as ranks (1, 0, 0, 0), dropping both keys
+    data = {"top_degree": 3, "groups": {"0": {"rank": 1}, "7": {"rank": 5}, "-1": {"rank": 2}}}
+    with pytest.raises(ValueError, match="outside 0..3"):
+        GradedGroup.from_json_dict(data)
+    for key in ("7", "-1"):
+        with pytest.raises(ValueError, match=f"degree {key} outside"):
+            GradedGroup.from_json_dict({"top_degree": 3, "groups": {key: {"rank": 1}}})
+    with pytest.raises(ValueError, match="degree 4 outside"):
+        GradedGroup.from_ranks(3, {0: 1}, {4: (2,)})
+
+
+def test_model_json_rejects_out_of_range_degrees():
+    # both additions used to load and get a Gysin answer; the first is
+    # torsion, which the model check refuses inside 0..2n
+    base = standard_orbit_model(7, Family.CPN, 1).to_json_dict()
+    data = json.loads(json.dumps(base))
+    data["cohomology"]["groups"]["30"] = {"rank": 4, "torsion": [3]}
+    with pytest.raises(ValueError, match="degree 30 outside 0..14"):
+        OrbitModel.from_json_dict(data)
+    data = json.loads(json.dumps(base))
+    data["cup_t"]["40"] = []
+    with pytest.raises(ValueError, match="cup map at degree 40 outside 0..12"):
+        OrbitModel.from_json_dict(data)
+    data["cup_t"] = {"-2": [], **base["cup_t"]}
+    with pytest.raises(ValueError, match="cup map at degree -2 outside"):
+        OrbitModel.from_json_dict(data)
 
 
 def test_standard_model_cpn_no_handles():
@@ -155,6 +191,16 @@ def test_standard_model_cup_dichotomy():
     assert half.cup_map(n - 1).entries == ((0,),)
     # handle classes always die under cup with t
     assert cpn.cup_map(n) == IntMatrix.zeros(0, 2)
+
+
+@pytest.mark.parametrize("family,stored", [(Family.CPN, 15), (Family.CPHALF_TIMES_SPHERE, 14)])
+def test_standard_model_stores_only_unit_maps(family, stored):
+    n = 15
+    model = standard_orbit_model(n, family, 2)
+    assert len(model.cup_t) == stored
+    assert all(mat.entries == ((1,),) for mat in model.cup_t.values())
+    dead = {n - 1} if family is Family.CPHALF_TIMES_SPHERE else set()
+    assert set(model.cup_t) == set(range(0, 2 * n - 1, 2)) - dead
 
 
 def test_standard_model_rejects_bad_dimension():
@@ -186,6 +232,46 @@ def test_gysin_cpn_middle_ranks(n, r):
 def test_gysin_cphalf_middle_ranks(n, r):
     h = gysin_total_space(standard_orbit_model(n, Family.CPHALF_TIMES_SPHERE, r))
     assert h.rank(n) == 2 * r + 1 and h.rank(n + 1) == 2 * r + 1
+
+
+@pytest.mark.parametrize("family,stored", [(Family.CPN, 15), (Family.CPHALF_TIMES_SPHERE, 14)])
+def test_gysin_runs_one_snf_per_stored_map(monkeypatch, family, stored):
+    calls = []
+    original = gradedtop.smith_normal_form
+
+    def counting(mat):
+        calls.append(mat)
+        return original(mat)
+
+    model = standard_orbit_model(15, family, 2)
+    monkeypatch.setattr(gradedtop, "smith_normal_form", counting)
+    gysin_total_space(model)
+    assert len(calls) == stored == len(model.cup_t)
+
+
+@pytest.mark.parametrize("n", [7, 15])
+@pytest.mark.parametrize("r", [0, 2])
+@pytest.mark.parametrize("family", list(Family))
+def test_explicit_zero_maps_change_nothing(n, r, family):
+    model = standard_orbit_model(n, family, r)
+    coh = model.cohomology
+    cup = {j: IntMatrix.zeros(coh.rank(j + 2), coh.rank(j)) for j in range(2 * n - 1)}
+    cup.update(model.cup_t)
+    padded = OrbitModel(n=n, family=family, r=r, cohomology=coh, cup_t=cup)
+    if family is Family.CPHALF_TIMES_SPHERE:
+        assert padded.cup_t[n - 1].entries == ((0,),)
+    assert gysin_total_space(padded) == gysin_total_space(model)
+    for d in (0, 1440, 2419200):
+        assert divisibility_transfer(padded, d) == divisibility_transfer(model, d)
+
+
+def test_gysin_refuses_a_cokernel_with_torsion():
+    model = standard_orbit_model(7, Family.CPN, 0)
+    cup = dict(model.cup_t)
+    cup[2] = IntMatrix.from_rows([[2]])  # H^4 / 2 H^2 has torsion Z/2
+    doubled = OrbitModel(n=7, family=Family.CPN, r=0, cohomology=model.cohomology, cup_t=cup)
+    with pytest.raises(ArithmeticError, match=r"at degree 4 has torsion \(2,\)"):
+        gysin_total_space(doubled)
 
 
 def test_gysin_requires_primitive_euler_class():
