@@ -48,7 +48,6 @@ from .gradedtop import (
     cokernel,
     divisibility_transfer,
     gysin_total_space,
-    kernel_rank,
     smith_normal_form,
     standard_orbit_model,
 )
@@ -61,7 +60,7 @@ __all__ = [
     "Partition", "PontrjaginPolynomial", "ahat_char_coeff",
     "multiplicative_sequence", "alpha", "twisted_pairing", "integrality_bound",
     # gradedtop
-    "IntMatrix", "SNFResult", "smith_normal_form", "kernel_rank", "cokernel",
+    "IntMatrix", "SNFResult", "smith_normal_form", "cokernel",
     "GradedGroup", "Family", "OrbitModel", "standard_orbit_model",
     "gysin_total_space", "check_highly_connected", "divisibility_transfer",
     # classifier

@@ -224,10 +224,7 @@ def odd_half_denominator(k: int) -> int:
     """
     if k % 2 == 0:
         raise ValueError("parity: defined for odd k")
-    out = (2 * bernoulli_ms(k) / (4 * k)).denominator
-    if 2 * out != im_j_order(k):
-        raise RuntimeError("half-denominator relation violated")
-    return out
+    return (2 * bernoulli_ms(k) / (4 * k)).denominator
 
 
 def table_rows(max_index: int) -> list[tuple[int, Fraction, int, int]]:

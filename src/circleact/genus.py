@@ -17,10 +17,9 @@ Milnor-Stasheff §19), computed directly on partitions of k:
 * ``K = exp(sum_m c_m s_m)``, graded by weight: ``K_0 = 1`` and
   ``w K_w = sum_{m=1..w} m c_m s_m K_{w-m}``.
 
-``alpha(k)``, the coefficient of p_k, is computed three independent ways on
-every call (Newton-identity extraction from the series coefficients, the
-full sequence polynomial, and the closed form -B_k / (2 (2k)!)) and the
-three results are required to agree exactly.
+``alpha(k)``, the coefficient of p_k, is the closed form -B_k / (2 (2k)!);
+its agreement with the full polynomial and with a Bernoulli-free oracle is
+a ``selftest`` check, not a cost paid on every call.
 """
 
 from __future__ import annotations
@@ -199,36 +198,11 @@ def multiplicative_sequence(k: int) -> PontrjaginPolynomial:
     )
 
 
-def _alpha_newton(k: int) -> Fraction:
-    """Coefficient of p_k extracted by Newton's identities applied to the
-    series coefficients: s_m = lam_1 s_{m-1} - lam_2 s_{m-2} + ...
-    + (-1)^{m-1} m lam_m."""
-    lam = [ahat_char_coeff(m) for m in range(k + 1)]
-    s = [Fraction(0)] * (k + 1)
-    for m in range(1, k + 1):
-        acc = Fraction((-1) ** (m - 1) * m) * lam[m]
-        for i in range(1, m):
-            acc += (-1) ** (i - 1) * lam[i] * s[m - i]
-        s[m] = acc
-    return s[k]
-
-
 def alpha(k: int) -> Fraction:
-    """Coefficient of p_k in the degree-k polynomial; equals
-    -B_k / (2 (2k)!).
-
-    Computed three ways (Newton extraction, full sequence, closed form)
-    which must agree exactly; a mismatch raises instead of returning a
-    silently wrong value.
-    """
+    """Coefficient of p_k in the degree-k polynomial: -B_k / (2 (2k)!)."""
     if k < 1:
         raise ValueError("degree starts at 1")
-    via_newton = _alpha_newton(k)
-    via_expansion = multiplicative_sequence(k).coefficient((k,))
-    closed = -bernoulli_ms(k) / (2 * factorial(2 * k))
-    if not (via_newton == via_expansion == closed):
-        raise RuntimeError("alpha cross-check failed")
-    return closed
+    return -bernoulli_ms(k) / (2 * factorial(2 * k))
 
 
 def twisted_pairing(k: int, d: int) -> Fraction:

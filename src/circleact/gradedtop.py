@@ -22,7 +22,6 @@ __all__ = [
     "IntMatrix",
     "SNFResult",
     "smith_normal_form",
-    "kernel_rank",
     "cokernel",
     "GradedGroup",
     "Family",
@@ -34,6 +33,15 @@ __all__ = [
 ]
 
 
+def _exact(value, kind: type, field: str, *where: int):
+    """``value`` itself if its type is exactly ``kind``: no bool for an int,
+    no float or numeric string for either.  Otherwise ValueError naming
+    ``field.format(*where)``."""
+    if type(value) is not kind:
+        raise ValueError(f"{field.format(*where)} must be of type {kind.__name__}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Immutable integer matrix; rows x cols, entries[i][j]."""
@@ -43,7 +51,10 @@ class IntMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        entries = tuple(tuple(int(x) for x in row) for row in self.entries)
+        entries = tuple(
+            tuple(_exact(x, int, "matrix entry [{}][{}]", i, j) for j, x in enumerate(row))
+            for i, row in enumerate(self.entries)
+        )
         object.__setattr__(self, "entries", entries)
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
@@ -58,10 +69,6 @@ class IntMatrix:
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
         return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
@@ -142,11 +149,6 @@ def smith_normal_form(mat: IntMatrix) -> SNFResult:
     return SNFResult(invariant_factors=tuple(factors), rank=len(factors))
 
 
-def kernel_rank(mat: IntMatrix) -> int:
-    """Rank of the kernel: cols - rank (kernels over Z are free)."""
-    return mat.cols - smith_normal_form(mat).rank
-
-
 def cokernel(mat: IntMatrix) -> tuple[int, tuple[int, ...]]:
     """Cokernel as (free rank, torsion coefficients): Z^{rows-rank} plus
     Z/d_i for each invariant factor d_i > 1."""
@@ -166,8 +168,12 @@ class GradedGroup:
     torsion: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        ranks = tuple(int(r) for r in self.ranks)
-        torsion = tuple(tuple(int(c) for c in t) for t in self.torsion)
+        _exact(self.top_degree, int, "top_degree")
+        ranks = tuple(_exact(r, int, "rank at degree {}", j) for j, r in enumerate(self.ranks))
+        torsion = tuple(
+            tuple(_exact(c, int, "torsion coefficient at degree {}", j) for c in t)
+            for j, t in enumerate(self.torsion)
+        )
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "torsion", torsion)
         if self.top_degree < 0:
@@ -216,14 +222,14 @@ class GradedGroup:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GradedGroup":
-        top = int(data["top_degree"])
+        top = _exact(data["top_degree"], int, "top_degree")
         groups = data.get("groups", {})
         ranks = {}
         torsion = {}
         for key, grp in groups.items():
             j = int(key)
-            ranks[j] = int(grp.get("rank", 0))
-            torsion[j] = tuple(int(c) for c in grp.get("torsion", ()))
+            ranks[j] = grp.get("rank", 0)
+            torsion[j] = tuple(grp.get("torsion", ()))
         return cls.from_ranks(top, ranks, torsion)
 
 
@@ -302,12 +308,12 @@ class OrbitModel:
             j = int(key)
             cup[j] = IntMatrix.from_rows([list(r) for r in rows], cols=coh.rank(j))
         return cls(
-            n=int(data["n"]),
+            n=_exact(data["n"], int, "n"),
             family=Family(data["family"]),
-            r=int(data["r"]),
+            r=_exact(data["r"], int, "r"),
             cohomology=coh,
             cup_t=cup,
-            euler_primitive=bool(data.get("euler_primitive", True)),
+            euler_primitive=_exact(data.get("euler_primitive", True), bool, "euler_primitive"),
         )
 
 

@@ -138,9 +138,12 @@ def test_odd_half_relation():
 
 
 def test_odd_half_relation_guard_fires(monkeypatch):
-    monkeypatch.setattr(bernoulli, "im_j_order", lambda k: 0)
-    with pytest.raises(RuntimeError, match="half-denominator relation violated"):
-        odd_half_denominator(3)
+    # the relation is guarded by the selftest check, not on every call; one
+    # wrong value at the top of its range must fail the check
+    real = bernoulli.odd_half_denominator
+    monkeypatch.setattr(bernoulli, "odd_half_denominator", lambda k: real(k) + (k == 399))
+    with pytest.raises(AssertionError):
+        selftest._check_odd_half_relation()
 
 
 def test_table_extends_on_demand():

@@ -1,7 +1,9 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
+import circleact.bernoulli as bernoulli
 import circleact.genus as genus
 from circleact.genus import (
     Partition,
@@ -17,6 +19,7 @@ from circleact.selftest import (
     _check_bound_by_brute_force,
     _check_multiplicativity,
     _check_pairing_integrality,
+    series_coefficients,
 )
 
 
@@ -180,9 +183,33 @@ def test_alpha_examples():
 
 
 def test_alpha_cross_check_guard_fires(monkeypatch):
-    monkeypatch.setattr(genus, "_alpha_newton", lambda k: Fraction(1))
-    with pytest.raises(RuntimeError, match="alpha cross-check failed"):
-        alpha(2)
+    # alpha is cross-checked by the selftest check, not on every call; one
+    # wrong value at the top of its range must fail the check
+    real = genus.alpha
+    monkeypatch.setattr(genus, "alpha", lambda k: real(k) + (k == 12) * Fraction(1, 10**40))
+    with pytest.raises(AssertionError):
+        _check_alpha_three_way()
+
+
+def test_alpha_is_the_closed_form_alone(monkeypatch):
+    def refuse(k):
+        raise AssertionError("alpha must not build the sequence")
+
+    monkeypatch.setattr(genus, "multiplicative_sequence", refuse)
+    for k in range(1, 13):
+        assert alpha(k) == -bernoulli.bernoulli_ms(k) / (2 * factorial(2 * k))
+
+
+def test_series_oracle_uses_no_bernoulli_number(monkeypatch):
+    expected = [ahat_char_coeff(m) for m in range(13)]
+
+    def refuse(k):
+        raise AssertionError("the oracle must not read a Bernoulli number")
+
+    monkeypatch.setattr(bernoulli, "bernoulli_ms", refuse)
+    monkeypatch.setattr(genus, "bernoulli_ms", refuse)
+    assert series_coefficients(12) == expected
+    assert expected[:3] == [1, Fraction(-1, 24), Fraction(7, 5760)]
 
 
 def test_alpha_rejects_zero():
