@@ -19,7 +19,7 @@ back into the input invariants.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from math import factorial
 
@@ -80,14 +80,7 @@ class DivisorReport:
     required: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "a_k": self.a_k,
-            "kervaire": self.kervaire,
-            "j_index": self.j_index,
-            "required": self.required,
-        }
+        return asdict(self)
 
 
 class ReasonCode(str, Enum):
@@ -117,10 +110,7 @@ class Witness:
     bundle_divisibility: int | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "sphere_product_copies": self.sphere_product_copies,
-            "bundle_divisibility": self.bundle_divisibility,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -168,12 +158,15 @@ class OrbitRecipe:
 
 @dataclass(frozen=True)
 class ClassificationResult:
-    admits: bool
     reason: ReasonCode
     divisors: DivisorReport | None
     witness: Witness | None
     orbit: OrbitRecipe | None
     notes: tuple[str, ...] = ()
+
+    @property
+    def admits(self) -> bool:
+        return self.reason.admits
 
     def to_json_dict(self) -> dict:
         return {
@@ -288,7 +281,6 @@ def classify(inv: ManifoldInvariants) -> ClassificationResult:
             )
             notes.append("l ignored for n = 5 (mod 8)")
         return ClassificationResult(
-            admits=True,
             reason=ReasonCode.N5_ALWAYS,
             divisors=None,
             witness=_witness(inv.b_n, 0),
@@ -308,7 +300,6 @@ def classify(inv: ManifoldInvariants) -> ClassificationResult:
         )
     orbit = _orbit_recipe(inv.n, inv.b_n, l) if reason.admits else None
     return ClassificationResult(
-        admits=reason.admits,
         reason=reason,
         divisors=report,
         witness=_witness(inv.b_n, l),

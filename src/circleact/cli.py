@@ -28,16 +28,12 @@ from .gradedtop import Family, gysin_total_space, standard_orbit_model
 
 __all__ = ["main", "build_parser"]
 
-_FAMILY_ALIASES = {
-    "CPN": Family.CPN,
-    "CPHALF": Family.CPHALF_TIMES_SPHERE,
-    "CPHALF_TIMES_SPHERE": Family.CPHALF_TIMES_SPHERE,
-}
+_FAMILIES = {**Family.__members__, "CPHALF": Family.CPHALF_TIMES_SPHERE}
 
 
 def _family(text: str) -> Family:
     try:
-        return _FAMILY_ALIASES[text.upper()]
+        return _FAMILIES[text.upper()]
     except KeyError:
         raise argparse.ArgumentTypeError(
             f"unknown family {text!r}; choose CPN or CPHALF_TIMES_SPHERE"
@@ -56,47 +52,48 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, run) -> None:
         p.add_argument("--format", choices=("text", "json"), default="text")
+        p.set_defaults(run=run)
 
     p = sub.add_parser("classify", help="decide a manifold class (n, b_n, l)")
     p.add_argument("--n", type=int, required=True, help="dimension parameter, 5 or 7 mod 8")
     p.add_argument("--bn", type=int, required=True, help="middle Betti number")
     p.add_argument("--l", type=int, default=None, help="middle Pontrjagin divisibility")
-    add_format(p)
+    add_common(p, _cmd_classify)
 
     p = sub.add_parser("bernoulli", help="table of B_k, den(B_k), den(B_k/4k)")
     p.add_argument("--max", type=int, required=True, help="largest index k")
-    add_format(p)
+    add_common(p, _cmd_bernoulli)
 
     p = sub.add_parser("imj", help="den(B_k/4k), the image-of-J index")
     p.add_argument("--k", type=int, required=True)
-    add_format(p)
+    add_common(p, _cmd_imj)
 
     p = sub.add_parser("ahat", help="degree-k multiplicative-sequence polynomial")
     p.add_argument("--k", type=int, required=True)
-    add_format(p)
+    add_common(p, _cmd_ahat)
 
     p = sub.add_parser("divisor", help="divisor report for n = 7 mod 8")
     p.add_argument("--n", type=int, required=True)
-    add_format(p)
+    add_common(p, _cmd_divisor)
 
     p = sub.add_parser("gysin", help="total-space cohomology over a standard orbit model")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--family", type=_family, required=True, help="CPN or CPHALF_TIMES_SPHERE")
     p.add_argument("--r", type=int, required=True, help="number of handle summands")
-    add_format(p)
+    add_common(p, _cmd_gysin)
 
     p = sub.add_parser("recipe", help="orbit-space recipe for an admitting class")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--bn", type=int, required=True)
     p.add_argument("--l", type=int, default=None)
-    add_format(p)
+    add_common(p, _cmd_recipe)
 
     p = sub.add_parser("selftest", help="run the library invariant suites")
     p.add_argument("--only", action="append", default=None, metavar="SUBSTRING",
                    help="run only checks whose name contains this (repeatable)")
-    add_format(p)
+    add_common(p, _cmd_selftest)
 
     return parser
 
@@ -170,15 +167,9 @@ def _cmd_ahat(args, out) -> int:
 
 def _cmd_divisor(args, out) -> int:
     report = required_divisor(args.n)
-    lines = [
-        f"n: {report.n}",
-        f"k: {report.k}",
-        f"a_k: {report.a_k}",
-        f"kervaire: {report.kervaire}",
-        f"j_index: {report.j_index}",
-        f"required: {report.required}",
-    ]
-    _emit(report.to_json_dict(), lines, args.format, out)
+    payload = report.to_json_dict()
+    lines = [f"{key}: {value}" for key, value in payload.items()]
+    _emit(payload, lines, args.format, out)
     return 0
 
 
@@ -226,18 +217,6 @@ def _cmd_selftest(args, out) -> int:
     return 0 if report.ok else 1
 
 
-_COMMANDS = {
-    "classify": _cmd_classify,
-    "bernoulli": _cmd_bernoulli,
-    "imj": _cmd_imj,
-    "ahat": _cmd_ahat,
-    "divisor": _cmd_divisor,
-    "gysin": _cmd_gysin,
-    "recipe": _cmd_recipe,
-    "selftest": _cmd_selftest,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the exit code (argparse exits 2 on usage errors,
     and a reader that closes stdout early gets exit 1 with no message).
@@ -251,7 +230,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
-        code = _COMMANDS[args.command](args, sys.stdout)
+        code = args.run(args, sys.stdout)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code
     except BrokenPipeError:

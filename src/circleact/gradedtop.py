@@ -42,6 +42,20 @@ def _exact(value, kind: type, field: str, *where: int):
     return value
 
 
+def _degree(key: str) -> int:
+    """The degree j of a JSON key written exactly as ``str(j)``.  Any other
+    spelling (" 1", "01", "+1", "0_1", non-ASCII digits) is a ValueError
+    naming the key, so no two keys can name one degree."""
+    try:
+        j = int(key)
+    except (TypeError, ValueError):
+        pass
+    else:
+        if str(j) == key:
+            return j
+    raise ValueError(f"degree key {key!r} must be written as str(j) for an integer j")
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Immutable integer matrix; rows x cols, entries[i][j]."""
@@ -80,10 +94,13 @@ class IntMatrix:
 @dataclass(frozen=True)
 class SNFResult:
     """Invariant factors d_1 | d_2 | ... | d_rank (all >= 1) of an integer
-    matrix; rank is the number of nonzero factors."""
+    matrix."""
 
     invariant_factors: tuple[int, ...]
-    rank: int
+
+    @property
+    def rank(self) -> int:
+        return len(self.invariant_factors)
 
 
 def smith_normal_form(mat: IntMatrix) -> SNFResult:
@@ -146,7 +163,7 @@ def smith_normal_form(mat: IntMatrix) -> SNFResult:
             continue
         factors.append(d)
         t += 1
-    return SNFResult(invariant_factors=tuple(factors), rank=len(factors))
+    return SNFResult(tuple(factors))
 
 
 def cokernel(mat: IntMatrix) -> tuple[int, tuple[int, ...]]:
@@ -227,7 +244,7 @@ class GradedGroup:
         ranks = {}
         torsion = {}
         for key, grp in groups.items():
-            j = int(key)
+            j = _degree(key)
             ranks[j] = grp.get("rank", 0)
             torsion[j] = tuple(grp.get("torsion", ()))
         return cls.from_ranks(top, ranks, torsion)
@@ -305,7 +322,7 @@ class OrbitModel:
         coh = GradedGroup.from_json_dict(data["cohomology"])
         cup: dict[int, IntMatrix] = {}
         for key, rows in data.get("cup_t", {}).items():
-            j = int(key)
+            j = _degree(key)
             cup[j] = IntMatrix.from_rows([list(r) for r in rows], cols=coh.rank(j))
         return cls(
             n=_exact(data["n"], int, "n"),

@@ -398,8 +398,11 @@ CHECKS: list[tuple[str, object]] = [
 @dataclass
 class SelfTestReport:
     passed: int
-    failed: int
     failures: list[tuple[str, str]]
+
+    @property
+    def failed(self) -> int:
+        return len(self.failures)
 
     @property
     def ok(self) -> bool:
@@ -411,7 +414,6 @@ def run(names: list[str] | None = None) -> SelfTestReport:
     if not __debug__:
         return SelfTestReport(
             passed=0,
-            failed=1,
             failures=[("selftest", "checks are assert statements, which python -O "
                        "removes; run without -O")],
         )
@@ -426,4 +428,4 @@ def run(names: list[str] | None = None) -> SelfTestReport:
             failures.append((name, f"{type(exc).__name__}: {exc}"))
         else:
             passed += 1
-    return SelfTestReport(passed=passed, failed=len(failures), failures=failures)
+    return SelfTestReport(passed, failures)

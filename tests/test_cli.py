@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,9 +7,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import circleact
 from circleact import selftest
+from circleact.classifier import ManifoldInvariants, classify, validate
 from circleact.cli import main
 
 
@@ -116,6 +121,14 @@ def test_divisor_json(capsys):
     assert data == {
         "n": 7, "k": 2, "a_k": 1, "kervaire": 12, "j_index": 240, "required": 1440
     }
+
+
+def test_divisor_text(capsys):
+    code, out, err = run(capsys, "divisor", "--n", "15")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "n: 15", "k: 4", "a_k: 1", "kervaire: 5040", "j_index: 480", "required: 2419200"
+    ]
 
 
 def test_divisor_rejects_bad_dimension(capsys):
@@ -273,3 +286,59 @@ def test_reader_closing_early_is_quiet(argv, read_first):
     assert len(head) == read_first
     assert err == b""
     assert proc.returncode == 1
+
+
+@contextlib.contextmanager
+def _no_digit_limit():
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def _check_classify_flags(n, b_n, l):
+    """``classify`` through the CLI answers exactly as the library does: exit 0
+    with the library's JSON, or exit 1 with ``validate``'s violations.  Only
+    the test's own conversions lift the digit limit; ``main`` runs under the
+    interpreter's default."""
+    argv = ["classify", "--n", str(n), "--bn", str(b_n), "--format", "json"]
+    if l is not None:
+        with _no_digit_limit():
+            argv += ["--l", str(l)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    inv = ManifoldInvariants(n=n, b_n=b_n, l=l)
+    violations = validate(inv)
+    if violations:
+        assert (code, out.getvalue()) == (1, "")
+        assert json.loads(err.getvalue())["violations"] == violations
+    else:
+        assert (code, err.getvalue()) == (0, "")
+        with _no_digit_limit():
+            expected = json.loads(json.dumps(classify(inv).to_json_dict()))
+            assert json.loads(out.getvalue()) == expected
+
+
+# small integers, and multiples of 1, 5040 (the n = 15 realizability divisor)
+# and 2419200 (its action divisor) scaled by up to 10^6000, past the
+# interpreter's 4300-digit int<->str limit
+_ANY_L = st.one_of(
+    st.integers(),
+    st.builds(lambda base, m, e: base * m * 10 ** e, st.sampled_from([1, 5040, 2419200]),
+              st.integers(-10 ** 6, 10 ** 6), st.integers(0, 6000)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(l=_ANY_L)
+def test_classify_parses_any_l(l):
+    _check_classify_flags(15, 1, l)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(-1023, 1023).map(lambda x: x | 1), b_n=st.integers(-1, 4))
+def test_classify_parses_any_odd_n(n, b_n):
+    _check_classify_flags(n, b_n, None)

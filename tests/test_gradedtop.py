@@ -194,6 +194,29 @@ def test_graded_group_json_rejects_out_of_range_degrees():
         GradedGroup.from_ranks(3, {0: 1}, {4: (2,)})
 
 
+def test_json_degree_keys_have_one_spelling():
+    # each of these used to load through int(key): the first as ranks
+    # (0, 1, 5, 0), " 1" overwriting "1"
+    spellings = {
+        "' 1'": {"1": {"rank": 4}, " 1": {"rank": 1}, "0_2": {"rank": 5}},
+        "'0_2'": {"0_2": {"rank": 5}},
+        "'١'": {"١": {"rank": 1}},  # Arabic-Indic digit one
+        "'\\+3'": {"+3": {"rank": 1}},
+        "'01'": {"01": {"rank": 1}},
+        "'-0'": {"-0": {"rank": 1}},
+    }
+    for key, groups in spellings.items():
+        with pytest.raises(ValueError, match=f"^degree key {key} must be written as str"):
+            GradedGroup.from_json_dict({"top_degree": 3, "groups": groups})
+    # a CPN n = 7, r = 1 model used to load with cup_t key "02" and get a Gysin answer
+    data = standard_orbit_model(7, Family.CPN, 1).to_json_dict()
+    data["cup_t"]["02"] = data["cup_t"].pop("2")
+    with pytest.raises(ValueError, match="^degree key '02' must be written as str"):
+        OrbitModel.from_json_dict(data)
+    data["cup_t"]["2"] = data["cup_t"].pop("02")
+    assert OrbitModel.from_json_dict(data) == standard_orbit_model(7, Family.CPN, 1)
+
+
 def test_model_json_rejects_out_of_range_degrees():
     # both additions used to load and get a Gysin answer; the first is
     # torsion, which the model check refuses inside 0..2n
