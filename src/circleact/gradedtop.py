@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import gcd, isqrt
+from operator import mul
 
 __all__ = [
     "IntMatrix",
@@ -105,30 +107,102 @@ class SNFResult:
 
 def smith_normal_form(mat: IntMatrix) -> SNFResult:
     """Invariant factors by unimodular row/column operations, pivoting on
-    the smallest nonzero entry."""
-    a = [list(row) for row in mat.entries]
+    the smallest nonzero entry, with coefficient growth bounded.
+
+    Smallest-pivot elimination lets entries grow without limit.  Once the
+    smallest remaining entry exceeds the Hadamard bound of the input (no
+    minor of the input is larger), the elimination goes on modulo
+    N = 2|M| for one nonzero r x r minor M, r the rank, as in Cohen, *A
+    Course in Computational Algebraic Number Theory*, 2.4.  That is exact
+    for every shape: each invariant factor d_i divides d_1...d_r, which
+    divides M, so d_i = gcd(pivot, N), and the factor 2 keeps d_r = |M|
+    apart from 0.
+    """
+    return SNFResult(_invariant_factors(mat))
+
+
+def _hadamard_bound(mat: IntMatrix) -> int:
+    """A bound on |minor| for every minor of ``mat``: the product over the
+    nonzero rows of isqrt(sum of squares) + 1."""
+    bound = 1
+    for row in mat.entries:
+        norm2 = sum(map(mul, row, row))
+        if norm2:
+            bound *= isqrt(norm2) + 1
+    return bound
+
+
+def _rank_and_minor(mat: IntMatrix) -> tuple[int, int]:
+    """Rank r and one nonzero r x r minor (1 when r = 0), by fraction-free
+    Bareiss elimination: every entry it forms is a minor of ``mat``."""
+    a = list(map(list, mat.entries))
+    r, minor = 0, 1
+    for c in range(mat.cols):
+        p = next((i for i in range(r, mat.rows) if a[i][c]), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        head = a[r]
+        pivot = head[c]
+        for row in a[r + 1:]:
+            x = row[c]
+            row[c:] = [(pivot * y - x * h) // minor for y, h in zip(row[c:], head[c:])]
+        minor = pivot
+        r += 1
+        if r == mat.rows:
+            break
+    return r, minor
+
+
+def _invariant_factors(mat: IntMatrix, bound: int | None = None) -> tuple[int, ...]:
+    """The elimination behind ``smith_normal_form``: exact integers while
+    every pivot is at most ``bound``, modulo N = 2|M| from the first pivot
+    above it.  ``bound`` defaults to the Hadamard bound, computed at the
+    first pivot above 1 (no unit pivot exceeds it); ``bound`` 0 runs the
+    whole elimination modulo N."""
+    a = list(map(list, mat.entries))
     nr, nc = mat.rows, mat.cols
+    rank = nr if nr < nc else nc
+    limit = 1 if bound is None else bound
+    modulus = half = 0  # exact integers until the switch
     factors: list[int] = []
     t = 0
-    while t < nr and t < nc:
+    while t < rank:
+        if modulus:
+            # the remaining block has the invariant factors d_{t+1..r}, all
+            # below N, so reducing it into [-N/2, N/2) loses none of them
+            for row in a[t:]:
+                row[t:] = [(x + half) % modulus - half for x in row[t:]]
         pivot = min(
             ((abs(a[i][j]), i, j) for i in range(t, nr) for j in range(t, nc) if a[i][j]),
             default=None,
         )
         if pivot is None:
             break
-        _, pi, pj = pivot
+        p, pi, pj = pivot
+        if p > limit:
+            if bound is None:
+                limit = bound = _hadamard_bound(mat)
+            if p > limit:
+                rank, minor = _rank_and_minor(mat)
+                half = abs(minor)
+                modulus = limit = 2 * half
+                continue
         a[t], a[pi] = a[pi], a[t]
-        for row in a:
-            row[t], row[pj] = row[pj], row[t]
+        if pj != t:
+            for row in a[t:]:
+                row[t], row[pj] = row[pj], row[t]
         while True:
             swapped = False
             for i in range(t + 1, nr):
                 if a[i][t]:
                     q = a[i][t] // a[t][t]
                     if q:
+                        ai, at = a[i], a[t]
                         for j in range(t, nc):
-                            a[i][j] -= q * a[t][j]
+                            ai[j] -= q * at[j]
+                        if modulus:
+                            ai[t:] = [(x + half) % modulus - half for x in ai[t:]]
                     if a[i][t]:  # remainder is smaller than the pivot
                         a[t], a[i] = a[i], a[t]
                         swapped = True
@@ -138,32 +212,33 @@ def smith_normal_form(mat: IntMatrix) -> SNFResult:
                 if a[t][j]:
                     q = a[t][j] // a[t][t]
                     if q:
-                        for row in a:
+                        for row in a[t:]:
                             row[j] -= q * row[t]
+                        if modulus:
+                            for row in a[t:]:
+                                row[j] = (row[j] + half) % modulus - half
                     if a[t][j]:
-                        for row in a:
+                        for row in a[t:]:
                             row[t], row[j] = row[j], row[t]
                         swapped = True
             if not swapped:
                 break
         # the pivot must divide every remaining entry; if not, fold the
         # offending row in and re-eliminate
-        d = abs(a[t][t])
+        d = gcd(a[t][t], modulus)  # |pivot| while exact
         offender = None
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if a[i][j] % d:
+        if d > 1:
+            for i in range(t + 1, nr):
+                if any(x % d for x in a[i][t + 1:]):
                     offender = i
                     break
-            if offender is not None:
-                break
         if offender is not None:
             for j in range(t, nc):
                 a[t][j] += a[offender][j]
             continue
         factors.append(d)
         t += 1
-    return SNFResult(tuple(factors))
+    return tuple(factors)
 
 
 def cokernel(mat: IntMatrix) -> tuple[int, tuple[int, ...]]:
@@ -367,14 +442,18 @@ def gysin_total_space(model: OrbitModel) -> GradedGroup:
     """Cohomology of the circle-bundle total space over the model, assembled
     degreewise from the cokernel/kernel short exact sequences.
 
-    One Smith normal form per stored cup map gives its torsion check and
-    its image rank; a degree without a stored map is the zero map.
+    One Smith normal form per distinct stored cup map gives its torsion
+    check and its image rank (the unit maps of a standard model are one
+    shared matrix); a degree without a stored map is the zero map.
     """
     if not model.euler_primitive:
         raise ValueError("Euler class must generate H^2")
     image: dict[int, int] = {}
+    cokernels: dict[IntMatrix, tuple[int, tuple[int, ...]]] = {}
     for j, mat in sorted(model.cup_t.items()):
-        coker_free, coker_torsion = cokernel(mat)
+        if mat not in cokernels:
+            cokernels[mat] = cokernel(mat)
+        coker_free, coker_torsion = cokernels[mat]
         if coker_torsion:
             raise ArithmeticError(
                 f"cup-with-t cokernel at degree {j + 2} has torsion {coker_torsion}; "

@@ -247,15 +247,24 @@ def minor_gcd_invariant_factors(mat: IntMatrix) -> tuple[int, ...]:
 
 
 def _check_snf_against_minors() -> None:
+    """Every shape 1..4 x 1..5, half of the matrices with a last row that is
+    a combination of the others; the elimination is also run modulo
+    2|M| from its first step, which the Hadamard trigger reaches only on
+    larger matrices."""
     rng = random.Random(424242)
-    for _ in range(200):
-        mat = IntMatrix.from_rows(
-            [[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)]
-        )
-        got = gradedtop.smith_normal_form(mat)
-        expected = minor_gcd_invariant_factors(mat)
-        assert got.invariant_factors == expected
-        assert got.rank == len(expected)
+    for rows in range(1, 5):
+        for cols in range(1, 6):
+            for trial in range(20):
+                grid = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
+                if rows > 1 and trial % 2:
+                    weights = [rng.randint(-2, 2) for _ in range(rows - 1)]
+                    grid[-1] = [sum(w * row[j] for w, row in zip(weights, grid)) for j in range(cols)]
+                mat = IntMatrix.from_rows(grid)
+                expected = minor_gcd_invariant_factors(mat)
+                got = gradedtop.smith_normal_form(mat)
+                assert got.invariant_factors == expected
+                assert got.rank == len(expected)
+                assert gradedtop._invariant_factors(mat, 0) == expected
 
 
 def _standard_models():

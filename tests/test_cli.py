@@ -255,6 +255,33 @@ def test_main_restores_the_digit_limit(capsys):
     assert sys.get_int_max_str_digits() == before
 
 
+def _package_env():
+    """The environment for a child ``python -m circleact`` that imports
+    this checkout's package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(circleact.__file__).parent.parent), env.get("PYTHONPATH")) if p
+    )
+    return env
+
+
+@pytest.mark.parametrize("flags", [[], ["-W", "error"]])
+def test_n5_l_warning_stays_off_stderr(flags):
+    def cli(*argv):
+        return subprocess.run(
+            [sys.executable, *flags, "-m", "circleact", *argv, "--format", "json"],
+            env=_package_env(), capture_output=True, text=True, timeout=60,
+        )
+
+    classified = cli("classify", "--n", "5", "--bn", "1", "--l", "7")
+    assert (classified.returncode, classified.stderr) == (0, "")
+    assert json.loads(classified.stdout)["notes"] == ["l ignored for n = 5 (mod 8)"]
+    # the recipe JSON has no notes: l ignored means the output without l
+    recipe = cli("recipe", "--n", "5", "--bn", "1", "--l", "7")
+    assert (recipe.returncode, recipe.stderr) == (0, "")
+    assert recipe.stdout == cli("recipe", "--n", "5", "--bn", "1").stdout
+
+
 @pytest.mark.parametrize(
     "argv, read_first",
     [
@@ -265,13 +292,9 @@ def test_main_restores_the_digit_limit(capsys):
     ],
 )
 def test_reader_closing_early_is_quiet(argv, read_first):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(circleact.__file__).parent.parent), env.get("PYTHONPATH")) if p
-    )
     proc = subprocess.Popen(
         [sys.executable, "-m", "circleact", *argv],
-        env=env,
+        env=_package_env(),
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )

@@ -1,7 +1,12 @@
 import inspect
 import json
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -92,11 +97,73 @@ def _matrices(draw):
 def test_snf_property_against_minor_gcds(mat):
     got = smith_normal_form(mat)
     assert got.invariant_factors == minor_gcd_invariant_factors(mat)
+    assert gradedtop._invariant_factors(mat, 0) == got.invariant_factors
     assert got.rank == len(got.invariant_factors)
     if mat.rows == mat.cols:
         det = _det([list(row) for row in mat.entries])
         if det:
             assert prod(got.invariant_factors) == abs(det)
+
+
+# sub-seeds of m x m matrices on which smallest-pivot elimination without a
+# growth bound ran past 2 s (entries in {-1, 1, 2} at density 1/2)
+_BLOW_UP_SEEDS = {
+    16: (218, 1396, 1519, 1609),
+    17: (11, 51, 68, 73),
+    18: (0, 2, 8, 10),
+    19: (5, 6, 9, 10),
+    20: (0, 1, 2, 3),
+}
+
+
+def _blow_up_matrix(m, sub_seed):
+    rng = random.Random(f"snf:{m}:{sub_seed}")
+    return [[rng.choice((-1, 1, 2)) if rng.random() < 0.5 else 0 for _ in range(m)]
+            for _ in range(m)]
+
+
+def _fraction_det(rows):
+    """Determinant by Gaussian elimination over the rationals."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for c in range(len(a)):
+        p = next((i for i in range(c, len(a)) if a[i][c]), None)
+        if p is None:
+            return 0
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            det = -det
+        det *= a[c][c]
+        for row in a[c + 1:]:
+            f = row[c] / a[c][c]
+            if f:
+                row[c:] = [x - f * y for x, y in zip(row[c:], a[c][c:])]
+    return int(det)
+
+
+def _check_product_equals_det():
+    rng = random.Random(2024)
+    mats = [_blow_up_matrix(m, s) for m, seeds in _BLOW_UP_SEEDS.items() for s in seeds]
+    mats += [[[rng.randint(-9, 9) for _ in range(m)] for _ in range(m)] for m in (20, 30, 40)]
+    for rows in mats:
+        factors = smith_normal_form(IntMatrix.from_rows(rows)).invariant_factors
+        assert len(factors) == len(rows)
+        assert prod(factors) == abs(_fraction_det(rows))
+
+
+def test_snf_product_equals_det_where_elimination_blows_up():
+    """In a child process with a time limit, so that unbounded coefficient
+    growth fails the test instead of hanging the suite."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(gradedtop.__file__).parents[1]), str(Path(__file__).parent),
+                    env.get("PYTHONPATH")) if p
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", "import test_gradedtop; test_gradedtop._check_product_equals_det()"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == 0, child.stderr
 
 
 def test_kernel_and_cokernel():
@@ -314,7 +381,21 @@ def test_gysin_runs_one_snf_per_stored_map(monkeypatch, family, stored):
     model = standard_orbit_model(15, family, 2)
     monkeypatch.setattr(gradedtop, "smith_normal_form", counting)
     gysin_total_space(model)
-    assert len(calls) == stored == len(model.cup_t)
+    assert stored == len(model.cup_t)
+    assert len(calls) == len(set(model.cup_t.values())) == 1
+
+
+def test_gysin_runs_one_snf_per_distinct_map(monkeypatch):
+    model = standard_orbit_model(7, Family.CPN, 0)
+    cup = dict(model.cup_t)
+    cup[2] = IntMatrix.from_rows([[-1]])
+    flipped = OrbitModel(n=7, family=Family.CPN, r=0, cohomology=model.cohomology, cup_t=cup)
+    expected = gysin_total_space(model)
+    calls = []
+    original = gradedtop.smith_normal_form
+    monkeypatch.setattr(gradedtop, "smith_normal_form", lambda mat: calls.append(mat) or original(mat))
+    assert gysin_total_space(flipped) == expected
+    assert len(calls) == len(set(flipped.cup_t.values())) == 2
 
 
 @pytest.mark.parametrize("n", [7, 15])
