@@ -9,8 +9,6 @@ as arbitrary-precision integers; divisibilities easily exceed 64 bits.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -145,12 +143,9 @@ def _cmd_bernoulli(args, out) -> int:
         ]
         print(json.dumps(payload), file=out)
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["k", "bernoulli", "den", "j_index"])
-        for k, b, d, j in rows:
-            writer.writerow([k, str(b), d, j])
-        out.write(buf.getvalue())
+        # CSV with csv.writer's \r\n line ends; no field ever needs quoting
+        lines = ["k,bernoulli,den,j_index", *(",".join(map(str, row)) for row in rows)]
+        out.write("".join(line + "\r\n" for line in lines))
     return 0
 
 
@@ -196,7 +191,8 @@ def _cmd_recipe(args, out) -> int:
         }
         print(json.dumps(error), file=sys.stderr)
         return 1
-    _emit(result.orbit.to_json_dict(), [result.orbit.describe()], args.format, out)
+    lines = [result.orbit.describe(), *(f"note: {note}" for note in result.notes)]
+    _emit(result.orbit.to_json_dict(), lines, args.format, out)
     return 0
 
 

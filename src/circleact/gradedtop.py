@@ -109,6 +109,10 @@ def smith_normal_form(mat: IntMatrix) -> SNFResult:
     """Invariant factors by unimodular row/column operations, pivoting on
     the smallest nonzero entry, with coefficient growth bounded.
 
+    Each round selects the smallest nonzero entry of the remaining block
+    and makes one Euclid pass on its row and column.  A nonzero remainder
+    is smaller than the pivot, so the next round selects again.
+
     Smallest-pivot elimination lets entries grow without limit.  Once the
     smallest remaining entry exceeds the Hadamard bound of the input (no
     minor of the input is larger), the elimination goes on modulo
@@ -159,7 +163,8 @@ def _invariant_factors(mat: IntMatrix, bound: int | None = None) -> tuple[int, .
     every pivot is at most ``bound``, modulo N = 2|M| from the first pivot
     above it.  ``bound`` defaults to the Hadamard bound, computed at the
     first pivot above 1 (no unit pivot exceeds it); ``bound`` 0 runs the
-    whole elimination modulo N."""
+    whole elimination modulo N.  The block is reduced mod N only at each
+    selection, where a remainder r, |r| < |pivot| <= N/2, stays as it is."""
     a = list(map(list, mat.entries))
     nr, nc = mat.rows, mat.cols
     rank = nr if nr < nc else nc
@@ -173,13 +178,17 @@ def _invariant_factors(mat: IntMatrix, bound: int | None = None) -> tuple[int, .
             # below N, so reducing it into [-N/2, N/2) loses none of them
             for row in a[t:]:
                 row[t:] = [(x + half) % modulus - half for x in row[t:]]
-        pivot = min(
-            ((abs(a[i][j]), i, j) for i in range(t, nr) for j in range(t, nc) if a[i][j]),
-            default=None,
-        )
-        if pivot is None:
+        # the smallest |entry| of the block, first in row-major order
+        p = pi = 0
+        for i in range(t, nr):
+            m = min(map(abs, filter(None, a[i][t:])), default=0)
+            if m and (m < p or not p):
+                p, pi = m, i
+                if m == 1:
+                    break
+        if not p:
             break
-        p, pi, pj = pivot
+        pj = t + list(map(abs, a[pi][t:])).index(p)
         if p > limit:
             if bound is None:
                 limit = bound = _hadamard_bound(mat)
@@ -192,40 +201,27 @@ def _invariant_factors(mat: IntMatrix, bound: int | None = None) -> tuple[int, .
         if pj != t:
             for row in a[t:]:
                 row[t], row[pj] = row[pj], row[t]
-        while True:
-            swapped = False
-            for i in range(t + 1, nr):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    if q:
-                        ai, at = a[i], a[t]
-                        for j in range(t, nc):
-                            ai[j] -= q * at[j]
-                        if modulus:
-                            ai[t:] = [(x + half) % modulus - half for x in ai[t:]]
-                    if a[i][t]:  # remainder is smaller than the pivot
-                        a[t], a[i] = a[i], a[t]
-                        swapped = True
-            if swapped:
-                continue
-            for j in range(t + 1, nc):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    if q:
-                        for row in a[t:]:
-                            row[j] -= q * row[t]
-                        if modulus:
-                            for row in a[t:]:
-                                row[j] = (row[j] + half) % modulus - half
-                    if a[t][j]:
-                        for row in a[t:]:
-                            row[t], row[j] = row[j], row[t]
-                        swapped = True
-            if not swapped:
-                break
+        # one Euclid pass; a nonzero remainder sends the round back to selection
+        head = a[t]
+        pivot = head[t]
+        rest = False
+        for row in a[t + 1:]:
+            q = row[t] // pivot
+            if q:
+                for j in range(t, nc):
+                    row[j] -= q * head[j]
+            if row[t]:
+                rest = True
+        for j in range(t + 1, nc):
+            q = head[j] // pivot
+            if q:
+                for row in a[t:]:
+                    row[j] -= q * row[t]
+        if rest or any(head[t + 1:]):
+            continue
         # the pivot must divide every remaining entry; if not, fold the
         # offending row in and re-eliminate
-        d = gcd(a[t][t], modulus)  # |pivot| while exact
+        d = gcd(pivot, modulus)  # |pivot| while exact
         offender = None
         if d > 1:
             for i in range(t + 1, nr):
@@ -478,13 +474,6 @@ def check_highly_connected(h: GradedGroup, n: int) -> bool:
     return not h.torsion_at(n) and not h.torsion_at(n + 1)
 
 
-def _is_isomorphism(mat: IntMatrix) -> bool:
-    if mat.rows != mat.cols:
-        return False
-    snf = smith_normal_form(mat)
-    return snf.rank == mat.rows and all(d == 1 for d in snf.invariant_factors)
-
-
 def divisibility_transfer(model: OrbitModel, d: int) -> int:
     """Divisibility of the pulled-back middle Pontrjagin class on the total
     space, given divisibility d on the orbit space.
@@ -500,7 +489,7 @@ def divisibility_transfer(model: OrbitModel, d: int) -> int:
     if d < 0:
         raise ValueError("divisibility must be nonnegative")
     mat = model.cup_map(model.n - 1)
-    if _is_isomorphism(mat):
+    if mat.rows == mat.cols and cokernel(mat) == (0, ()):
         return 0
     if mat.is_zero():
         return d

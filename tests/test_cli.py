@@ -96,6 +96,13 @@ def test_bernoulli_csv(capsys):
     assert lines[3] == "3,1/42,42,504"
 
 
+def test_bernoulli_csv_bytes(capsys):
+    # the bytes csv.writer wrote: \r\n line ends and no quoting
+    code, out, _ = run(capsys, "bernoulli", "--max", "3")
+    assert code == 0
+    assert out.encode() == b"k,bernoulli,den,j_index\r\n1,1/6,6,24\r\n2,1/30,30,240\r\n3,1/42,42,504\r\n"
+
+
 def test_bernoulli_json(capsys):
     code, out, _ = run(capsys, "bernoulli", "--max", "2", "--format", "json")
     assert json.loads(out) == [
@@ -172,6 +179,14 @@ def test_recipe_json(capsys):
     assert data["handles"] == 1
     assert data["divisibility"] == 2419200
     assert data["euler_class"] == "primitive generator of H^2"
+
+
+def test_recipe_text_shows_the_notes(capsys):
+    code, out, err = run(capsys, "recipe", "--n", "5", "--bn", "1", "--l", "7")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == ["note: l ignored for n = 5 (mod 8)"]
+    code, out, _ = run(capsys, "recipe", "--n", "5", "--bn", "1")
+    assert code == 0 and "note:" not in out
 
 
 def test_recipe_refuses_non_admitting(capsys):

@@ -122,33 +122,46 @@ def _blow_up_matrix(m, sub_seed):
             for _ in range(m)]
 
 
-def _fraction_det(rows):
-    """Determinant by Gaussian elimination over the rationals."""
+def _fraction_rank_det(rows):
+    """Rank, and the determinant when the matrix is square of full rank
+    (else 0), by Gaussian elimination over the rationals."""
     a = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for c in range(len(a)):
-        p = next((i for i in range(c, len(a)) if a[i][c]), None)
+    cols = len(a[0]) if a else 0
+    det, r = Fraction(1), 0
+    for c in range(cols):
+        p = next((i for i in range(r, len(a)) if a[i][c]), None)
         if p is None:
-            return 0
-        if p != c:
-            a[c], a[p] = a[p], a[c]
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
             det = -det
-        det *= a[c][c]
-        for row in a[c + 1:]:
-            f = row[c] / a[c][c]
+        det *= a[r][c]
+        for row in a[r + 1:]:
+            f = row[c] / a[r][c]
             if f:
-                row[c:] = [x - f * y for x, y in zip(row[c:], a[c][c:])]
-    return int(det)
+                row[c:] = [x - f * y for x, y in zip(row[c:], a[r][c:])]
+        r += 1
+    return r, int(det) if r == len(a) == cols else 0
 
 
 def _check_product_equals_det():
     rng = random.Random(2024)
     mats = [_blow_up_matrix(m, s) for m, seeds in _BLOW_UP_SEEDS.items() for s in seeds]
-    mats += [[[rng.randint(-9, 9) for _ in range(m)] for _ in range(m)] for m in (20, 30, 40)]
+    mats += [[[rng.randint(-9, 9) for _ in range(m)] for _ in range(m)] for m in (20, 30, 40, 60)]
     for rows in mats:
         factors = smith_normal_form(IntMatrix.from_rows(rows)).invariant_factors
         assert len(factors) == len(rows)
-        assert prod(factors) == abs(_fraction_det(rows))
+        assert prod(factors) == abs(_fraction_rank_det(rows)[1])
+    # dense 25 x 40 of rank 24 (its last row is the sum of the first two) and
+    # its transpose: the run modulo 2|M| from the first step must agree, and
+    # the rank is the rational rank
+    wide = [[rng.randint(-9, 9) for _ in range(40)] for _ in range(24)]
+    wide.append([x + y for x, y in zip(wide[0], wide[1])])
+    for rows in (wide, [list(col) for col in zip(*wide)]):
+        mat = IntMatrix.from_rows(rows)
+        factors = smith_normal_form(mat).invariant_factors
+        assert gradedtop._invariant_factors(mat, 0) == factors
+        assert len(factors) == _fraction_rank_det(rows)[0] == 24
 
 
 def test_snf_product_equals_det_where_elimination_blows_up():
@@ -462,6 +475,15 @@ def test_divisibility_transfer():
     half = standard_orbit_model(7, Family.CPHALF_TIMES_SPHERE, 1)
     assert divisibility_transfer(half, 1440) == 1440
     assert divisibility_transfer(half, 0) == 0
+
+
+def test_divisibility_transfer_over_zero_groups():
+    # H^6 = H^8 = 0, so cup with t on degree n - 1 is the 0 x 0 map: an isomorphism
+    coh = GradedGroup.from_ranks(14, {0: 1, 2: 1, 12: 1, 14: 1})
+    model = OrbitModel(n=7, family=Family.CPN, r=0, cohomology=coh,
+                       cup_t={0: IntMatrix.from_rows([[1]])})
+    assert model.cup_map(6) == IntMatrix.zeros(0, 0)
+    assert divisibility_transfer(model, 1440) == 0
 
 
 def test_divisibility_transfer_rejects_wrong_dimension():
