@@ -1,0 +1,59 @@
+"""Immutable value records on ``__slots__``.
+
+A record class declares its fields once, as ``__slots__`` in declaration
+order, and writes its own ``__init__`` that stores each field with
+``_set``.  The base supplies the rest of a frozen value type:
+
+* field-wise ``__eq__`` and ``__hash__``, between instances of one class
+  only (a record never equals a tuple or a record of another class);
+* the ``Name(field=value, ...)`` repr;
+* ``__reduce__``, so pickle, ``copy.copy`` and ``copy.deepcopy`` rebuild a
+  record through its constructor, checks included;
+* ``__setattr__`` and ``__delattr__`` that raise ``AttributeError``.
+
+``_fields`` lists the ``__slots__`` of the class and its record bases,
+base fields first, and ``_values`` is the tuple of field values in that
+order; the constructor takes them positionally in that order.
+"""
+
+from __future__ import annotations
+
+from operator import attrgetter
+
+_set = object.__setattr__
+
+
+class Record:
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        fields = tuple(
+            name for base in reversed(cls.__mro__) for name in base.__dict__.get("__slots__", ())
+        )
+        cls._fields = fields
+        get = attrgetter(*fields)  # one name gives the bare value, more a tuple
+        cls._values = property(get if len(fields) > 1 else lambda record: (get(record),))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self._fields, self._values)
+        )
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -19,12 +19,12 @@ back into the input invariants.
 from __future__ import annotations
 
 import warnings
-from dataclasses import asdict, dataclass
 from enum import Enum
 from math import factorial
 
+from ._record import Record, _set
 from .bernoulli import im_j_order
-from .gradedtop import Family, OrbitModel, standard_orbit_model
+from .gradedtop import Family, OrbitModel, _exact, standard_orbit_model
 
 __all__ = [
     "ManifoldInvariants",
@@ -43,15 +43,18 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ManifoldInvariants:
+class ManifoldInvariants(Record):
     """(n, b_n, l): dimension parameter, middle Betti number, and middle
     Pontrjagin divisibility.  l is meaningless (and ignored) when
-    n = 5 mod 8; omitted l means 0."""
+    n = 5 mod 8; omitted l means 0.  Each is an int (l may be None); any
+    other type is a ValueError naming the field."""
 
-    n: int
-    b_n: int
-    l: int | None = None
+    __slots__ = ("n", "b_n", "l")
+
+    def __init__(self, n: int, b_n: int, l: int | None = None) -> None:
+        _set(self, "n", _exact(n, int, "n"))
+        _set(self, "b_n", _exact(b_n, int, "b_n"))
+        _set(self, "l", l if l is None else _exact(l, int, "l"))
 
 
 def kervaire_coefficient(k: int) -> int:
@@ -62,8 +65,7 @@ def kervaire_coefficient(k: int) -> int:
     return 2 if k % 2 else 1
 
 
-@dataclass(frozen=True)
-class DivisorReport:
+class DivisorReport(Record):
     """The divisors governing dimension n = 7 (mod 8), k = (n+1)/4.
 
     ``kervaire`` is the divisor every realizable l satisfies
@@ -72,15 +74,20 @@ class DivisorReport:
     ((n-1)/2)! * den(B_k / 4k).
     """
 
-    n: int
-    k: int
-    a_k: int
-    kervaire: int
-    j_index: int
-    required: int
+    __slots__ = ("n", "k", "a_k", "kervaire", "j_index", "required")
+
+    def __init__(
+        self, n: int, k: int, a_k: int, kervaire: int, j_index: int, required: int
+    ) -> None:
+        _set(self, "n", n)
+        _set(self, "k", k)
+        _set(self, "a_k", a_k)
+        _set(self, "kervaire", kervaire)
+        _set(self, "j_index", j_index)
+        _set(self, "required", required)
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return dict(zip(self._fields, self._values))
 
 
 class ReasonCode(str, Enum):
@@ -100,31 +107,44 @@ class ReasonCode(str, Enum):
         )
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """Connected-sum normal form of the input manifold: copies of
     S^n x S^{n+1}, plus (when the Pontrjagin class is nonzero) one linear
     S^n-bundle over S^{n+1} with Euler class 0 and p-divisibility l."""
 
-    sphere_product_copies: int
-    bundle_divisibility: int | None = None
+    __slots__ = ("sphere_product_copies", "bundle_divisibility")
+
+    def __init__(
+        self, sphere_product_copies: int, bundle_divisibility: int | None = None
+    ) -> None:
+        _set(self, "sphere_product_copies", sphere_product_copies)
+        _set(self, "bundle_divisibility", bundle_divisibility)
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return dict(zip(self._fields, self._values))
 
 
-@dataclass(frozen=True)
-class OrbitRecipe:
+class OrbitRecipe(Record):
     """Symbolic orbit space realizing the action: r handle summands
     S^n x S^n connect-summed with either CP^n or CP^{(n-1)/2} x S^{n+1}
     (the latter carrying middle Pontrjagin divisibility d when n = 7 mod 8),
     with the circle bundle over it classified by a primitive Euler class."""
 
-    n: int
-    family: Family
-    handles: int
-    divisibility: int | None = None
-    euler_class: str = "primitive generator of H^2"
+    __slots__ = ("n", "family", "handles", "divisibility", "euler_class")
+
+    def __init__(
+        self,
+        n: int,
+        family: Family,
+        handles: int,
+        divisibility: int | None = None,
+        euler_class: str = "primitive generator of H^2",
+    ) -> None:
+        _set(self, "n", n)
+        _set(self, "family", family)
+        _set(self, "handles", handles)
+        _set(self, "divisibility", divisibility)
+        _set(self, "euler_class", euler_class)
 
     def core_description(self) -> str:
         if self.family is Family.CPN:
@@ -156,13 +176,22 @@ class OrbitRecipe:
         }
 
 
-@dataclass(frozen=True)
-class ClassificationResult:
-    reason: ReasonCode
-    divisors: DivisorReport | None
-    witness: Witness | None
-    orbit: OrbitRecipe | None
-    notes: tuple[str, ...] = ()
+class ClassificationResult(Record):
+    __slots__ = ("reason", "divisors", "witness", "orbit", "notes")
+
+    def __init__(
+        self,
+        reason: ReasonCode,
+        divisors: DivisorReport | None,
+        witness: Witness | None,
+        orbit: OrbitRecipe | None,
+        notes: tuple[str, ...] = (),
+    ) -> None:
+        _set(self, "reason", reason)
+        _set(self, "divisors", divisors)
+        _set(self, "witness", witness)
+        _set(self, "orbit", orbit)
+        _set(self, "notes", notes)
 
     @property
     def admits(self) -> bool:

@@ -24,11 +24,11 @@ a ``selftest`` check, not a cost paid on every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
+from ._record import Record, _set
 from .bernoulli import bernoulli_ms, im_j_order
 
 __all__ = [
@@ -42,20 +42,39 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class Partition:
+class Partition(Record):
     """Weakly decreasing tuple of positive integers, indexing a monomial
-    p_{i1} ... p_{im} of weight i1 + ... + im."""
+    p_{i1} ... p_{im} of weight i1 + ... + im.  Partitions compare as
+    their part tuples; they are the dict keys of every polynomial, so
+    equality and hash read ``parts`` directly."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self) -> None:
-        parts = tuple(self.parts)
-        object.__setattr__(self, "parts", parts)
+    def __init__(self, parts: tuple[int, ...]) -> None:
+        parts = tuple(parts)
+        _set(self, "parts", parts)
         if any(p < 1 for p in parts):
             raise ValueError("partition parts must be positive")
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("partition parts must be weakly decreasing")
+
+    def __eq__(self, other: object) -> bool:
+        return self.parts == other.parts if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.parts)
+
+    def __lt__(self, other: object) -> bool:
+        return self.parts < other.parts if other.__class__ is self.__class__ else NotImplemented
+
+    def __le__(self, other: object) -> bool:
+        return self.parts <= other.parts if other.__class__ is self.__class__ else NotImplemented
+
+    def __gt__(self, other: object) -> bool:
+        return self.parts > other.parts if other.__class__ is self.__class__ else NotImplemented
+
+    def __ge__(self, other: object) -> bool:
+        return self.parts >= other.parts if other.__class__ is self.__class__ else NotImplemented
 
     @property
     def weight(self) -> int:

@@ -15,10 +15,11 @@ a model producing torsion errors out rather than guessing the extension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import gcd, isqrt
 from operator import mul
+
+from ._record import Record, _set
 
 __all__ = [
     "IntMatrix",
@@ -58,24 +59,29 @@ def _degree(key: str) -> int:
     raise ValueError(f"degree key {key!r} must be written as str(j) for an integer j")
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Record):
     """Immutable integer matrix; rows x cols, entries[i][j]."""
 
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self) -> None:
+    def __init__(self, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> None:
         entries = tuple(
             tuple(_exact(x, int, "matrix entry [{}][{}]", i, j) for j, x in enumerate(row))
-            for i, row in enumerate(self.entries)
+            for i, row in enumerate(entries)
         )
-        object.__setattr__(self, "entries", entries)
-        if self.rows < 0 or self.cols < 0:
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "entries", entries)
+        if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(entries) != self.rows or any(len(row) != self.cols for row in entries):
+        if len(entries) != rows or any(len(row) != cols for row in entries):
             raise ValueError("entry grid does not match declared dimensions")
+
+    def __hash__(self) -> int:
+        # equal matrices have equal entries, and hashing them alone is
+        # cheaper than hashing every field: the Gysin engine keys its SNF
+        # memo by matrix
+        return hash(self.entries)
 
     @classmethod
     def from_rows(cls, rows: list[list[int]], cols: int | None = None) -> "IntMatrix":
@@ -93,12 +99,14 @@ class IntMatrix:
         return [list(row) for row in self.entries]
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(Record):
     """Invariant factors d_1 | d_2 | ... | d_rank (all >= 1) of an integer
     matrix."""
 
-    invariant_factors: tuple[int, ...]
+    __slots__ = ("invariant_factors",)
+
+    def __init__(self, invariant_factors: tuple[int, ...]) -> None:
+        _set(self, "invariant_factors", invariant_factors)
 
     @property
     def rank(self) -> int:
@@ -245,28 +253,31 @@ def cokernel(mat: IntMatrix) -> tuple[int, tuple[int, ...]]:
     return mat.rows - snf.rank, torsion
 
 
-@dataclass(frozen=True)
-class GradedGroup:
+class GradedGroup(Record):
     """Finitely generated graded abelian group: free rank and torsion
     coefficients per degree 0..top_degree; degrees outside the range are
     trivial."""
 
-    top_degree: int
-    ranks: tuple[int, ...]
-    torsion: tuple[tuple[int, ...], ...]
+    __slots__ = ("top_degree", "ranks", "torsion")
 
-    def __post_init__(self) -> None:
-        _exact(self.top_degree, int, "top_degree")
-        ranks = tuple(_exact(r, int, "rank at degree {}", j) for j, r in enumerate(self.ranks))
+    def __init__(
+        self,
+        top_degree: int,
+        ranks: tuple[int, ...],
+        torsion: tuple[tuple[int, ...], ...],
+    ) -> None:
+        _exact(top_degree, int, "top_degree")
+        ranks = tuple(_exact(r, int, "rank at degree {}", j) for j, r in enumerate(ranks))
         torsion = tuple(
             tuple(_exact(c, int, "torsion coefficient at degree {}", j) for c in t)
-            for j, t in enumerate(self.torsion)
+            for j, t in enumerate(torsion)
         )
-        object.__setattr__(self, "ranks", ranks)
-        object.__setattr__(self, "torsion", torsion)
-        if self.top_degree < 0:
+        _set(self, "top_degree", top_degree)
+        _set(self, "ranks", ranks)
+        _set(self, "torsion", torsion)
+        if top_degree < 0:
             raise ValueError("top degree must be nonnegative")
-        if len(ranks) != self.top_degree + 1 or len(torsion) != self.top_degree + 1:
+        if len(ranks) != top_degree + 1 or len(torsion) != top_degree + 1:
             raise ValueError("need one rank and one torsion list per degree")
         if any(r < 0 for r in ranks):
             raise ValueError("ranks must be nonnegative")
@@ -330,8 +341,7 @@ class Family(str, Enum):
     CPHALF_TIMES_SPHERE = "CPHALF_TIMES_SPHERE"
 
 
-@dataclass(frozen=True)
-class OrbitModel:
+class OrbitModel(Record):
     """Cohomology of a candidate orbit space (a 2n-manifold) together with
     the cup-with-t maps the Gysin sequence needs.
 
@@ -339,14 +349,23 @@ class OrbitModel:
     the target); degrees without a stored matrix are zero maps.
     """
 
-    n: int
-    family: Family
-    r: int
-    cohomology: GradedGroup
-    cup_t: dict[int, IntMatrix]
-    euler_primitive: bool = True
+    __slots__ = ("n", "family", "r", "cohomology", "cup_t", "euler_primitive")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        n: int,
+        family: Family,
+        r: int,
+        cohomology: GradedGroup,
+        cup_t: dict[int, IntMatrix],
+        euler_primitive: bool = True,
+    ) -> None:
+        _set(self, "n", n)
+        _set(self, "family", family)
+        _set(self, "r", r)
+        _set(self, "cohomology", cohomology)
+        _set(self, "cup_t", cup_t)
+        _set(self, "euler_primitive", euler_primitive)
         if self.n < 5 or self.n % 2 == 0:
             raise ValueError("dimension out of scope")
         if self.r < 0:

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import random
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial, gcd
 
 from . import bernoulli, classifier, genus, gradedtop
+from ._record import Record, _set
 from .classifier import ManifoldInvariants, ReasonCode
 from .gradedtop import Family, IntMatrix
 
@@ -404,10 +404,12 @@ CHECKS: list[tuple[str, object]] = [
 ]
 
 
-@dataclass
-class SelfTestReport:
-    passed: int
-    failures: list[tuple[str, str]]
+class SelfTestReport(Record):
+    __slots__ = ("passed", "failures")
+
+    def __init__(self, passed: int, failures: list[tuple[str, str]]) -> None:
+        _set(self, "passed", passed)
+        _set(self, "failures", failures)
 
     @property
     def failed(self) -> int:

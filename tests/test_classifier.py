@@ -156,6 +156,30 @@ def test_classify_raises_with_violations():
     assert err.value.violations == ["l not divisible by 12"]
 
 
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        # a float b_n used to classify as ODD_DIVISIBLE with 2.0 copies
+        ((15, 3.0, 2419200), "b_n"),
+        ((13, 1.5), "b_n"),
+        ((7, True, 0), "b_n"),
+        # a float n used to die with a bare TypeError from factorial
+        ((15.0, 1, 0), "n"),
+        ((7, 1, 1440.0), "l"),
+        ((7, 1, "1440"), "l"),
+        (("7", 1), "n"),
+    ],
+)
+def test_invariants_must_be_ints(args, field):
+    with pytest.raises(ValueError, match=f"^{field} must be of type int"):
+        ManifoldInvariants(*args)
+
+
+def test_invariants_keep_int_and_none():
+    assert ManifoldInvariants(13, 2).l is None
+    assert ManifoldInvariants(15, 3, 2419200).b_n == 3
+
+
 def test_classify_ignores_l_for_n5():
     selftest._check_l_ignored_for_n5()
 

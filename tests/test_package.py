@@ -1,7 +1,10 @@
 """The package surface and the result records: each public name and each
 stored field is declared once, and every copy is derived from it."""
 
-import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,7 +29,7 @@ def test_package_reexports_every_module_name_once():
 def test_derived_flags_are_not_stored():
     for cls, flag in ((ClassificationResult, "admits"), (SNFResult, "rank"),
                       (SelfTestReport, "failed")):
-        assert flag not in {f.name for f in dataclasses.fields(cls)}, (cls, flag)
+        assert flag not in set(cls.__slots__), (cls, flag)
 
 
 @pytest.mark.parametrize("reason", list(ReasonCode))
@@ -40,3 +43,37 @@ def test_admits_follows_the_reason(reason):
             admits=not reason.admits, reason=reason, divisors=None, witness=None, orbit=None
         )
 
+
+
+def _imported_modules(*args):
+    """Every module a fresh ``python -S`` imports while running ``args``,
+    read from its ``-X importtime`` report.  ``-S`` keeps the host's site
+    hooks out of the list; this checkout's package comes from PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(circleact.__file__).parent.parent), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", *args],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["-c", "import circleact.cli"], ["-m", "circleact", "imj", "--k", "3"]],
+    ids=["import", "imj"],
+)
+def test_cold_start_skips_dataclasses_and_inspect(args):
+    """The records are hand-written, so starting the CLI loads neither
+    ``dataclasses`` nor the ``inspect`` it pulls in (about two thirds of
+    the import time when they were used)."""
+    modules = _imported_modules(*args)
+    assert "circleact.cli" in modules
+    assert not {"dataclasses", "inspect"} & modules

@@ -1,0 +1,178 @@
+"""The result records behave as frozen value types: field-wise equality and
+hash within one class, the ``Name(field=value, ...)`` repr, immutability,
+and pickle and copy round trips through the constructor."""
+
+import copy
+import pickle
+
+import pytest
+
+from circleact._record import Record
+from circleact.classifier import (
+    ManifoldInvariants,
+    OrbitRecipe,
+    Witness,
+    classify,
+    required_divisor,
+)
+from circleact.genus import Partition
+from circleact.gradedtop import (
+    Family,
+    GradedGroup,
+    IntMatrix,
+    OrbitModel,
+    SNFResult,
+    standard_orbit_model,
+)
+from circleact.selftest import SelfTestReport
+
+_UNIT = "IntMatrix(rows=1, cols=1, entries=((1,),))"
+
+# (make a fresh sample, its repr); each repr is the text the records had as
+# dataclasses
+SAMPLES = {
+    "ManifoldInvariants": (
+        lambda: ManifoldInvariants(n=7, b_n=1, l=0),
+        "ManifoldInvariants(n=7, b_n=1, l=0)",
+    ),
+    "ManifoldInvariants-default": (
+        lambda: ManifoldInvariants(13, 2),
+        "ManifoldInvariants(n=13, b_n=2, l=None)",
+    ),
+    "DivisorReport": (
+        lambda: required_divisor(7),
+        "DivisorReport(n=7, k=2, a_k=1, kervaire=12, j_index=240, required=1440)",
+    ),
+    "Witness": (
+        lambda: Witness(2, 2419200),
+        "Witness(sphere_product_copies=2, bundle_divisibility=2419200)",
+    ),
+    "OrbitRecipe": (
+        lambda: OrbitRecipe(15, Family.CPHALF_TIMES_SPHERE, 1, 2419200),
+        "OrbitRecipe(n=15, family=<Family.CPHALF_TIMES_SPHERE: 'CPHALF_TIMES_SPHERE'>, "
+        "handles=1, divisibility=2419200, euler_class='primitive generator of H^2')",
+    ),
+    "ClassificationResult": (
+        lambda: classify(ManifoldInvariants(5, 0)),
+        "ClassificationResult(reason=<ReasonCode.N5_ALWAYS: 'N5_ALWAYS'>, divisors=None, "
+        "witness=Witness(sphere_product_copies=0, bundle_divisibility=None), "
+        "orbit=OrbitRecipe(n=5, family=<Family.CPN: 'CPN'>, handles=0, divisibility=None, "
+        "euler_class='primitive generator of H^2'), "
+        "notes=('b_n = 0: the manifold is a homotopy sphere; the standard free action on "
+        "S^11 applies',))",
+    ),
+    "IntMatrix": (
+        lambda: IntMatrix.from_rows([[1, 2], [3, 4]]),
+        "IntMatrix(rows=2, cols=2, entries=((1, 2), (3, 4)))",
+    ),
+    "SNFResult": (lambda: SNFResult((1, 2)), "SNFResult(invariant_factors=(1, 2))"),
+    "GradedGroup": (
+        lambda: GradedGroup(2, (1, 0, 1), ((), (), ())),
+        "GradedGroup(top_degree=2, ranks=(1, 0, 1), torsion=((), (), ()))",
+    ),
+    "OrbitModel": (
+        lambda: standard_orbit_model(5, Family.CPN, 0),
+        "OrbitModel(n=5, family=<Family.CPN: 'CPN'>, r=0, cohomology=GradedGroup("
+        "top_degree=10, ranks=(1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1), torsion=((), (), (), (), (), "
+        f"(), (), (), (), (), ())), cup_t={{0: {_UNIT}, 2: {_UNIT}, 4: {_UNIT}, 6: {_UNIT}, "
+        f"8: {_UNIT}}}, euler_primitive=True)",
+    ),
+    "Partition": (lambda: Partition((2, 1)), "Partition(parts=(2, 1))"),
+    "SelfTestReport": (
+        lambda: SelfTestReport(3, [("x", "AssertionError: y")]),
+        "SelfTestReport(passed=3, failures=[('x', 'AssertionError: y')])",
+    ),
+}
+
+# a field holds a dict or a list, as at the dataclass records
+UNHASHABLE = {OrbitModel, SelfTestReport}
+
+sample = pytest.mark.parametrize("make", [m for m, _ in SAMPLES.values()], ids=list(SAMPLES))
+
+
+def test_every_record_class_has_a_sample():
+    assert {type(make()) for make, _ in SAMPLES.values()} == set(Record.__subclasses__())
+
+
+@pytest.mark.parametrize("make, text", list(SAMPLES.values()), ids=list(SAMPLES))
+def test_repr_is_the_dataclass_text(make, text):
+    assert repr(make()) == text
+
+
+@sample
+def test_equal_fields_give_equal_records(make):
+    a, b = make(), make()
+    assert a is not b
+    assert a == b and not a != b
+    if type(a) in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b)
+
+
+@sample
+def test_never_equal_to_a_tuple_or_another_class(make):
+    record = make()
+    cls, values = record.__reduce__()
+    assert type(values) is tuple
+    assert record != values and values != record
+    twin = type("Twin", (cls,), {"__slots__": ()})(*values)
+    assert twin == twin
+    assert record != twin and twin != record
+    assert repr(twin).startswith("Twin(")
+
+
+def test_same_values_in_two_classes_differ():
+    assert Partition((2, 1)) != SNFResult((2, 1))
+    assert SNFResult((2, 1)) != Partition((2, 1))
+
+
+@sample
+def test_records_are_immutable(make):
+    record = make()
+    field = type(record).__slots__[0]
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, 0)
+    with pytest.raises(AttributeError):
+        delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.not_a_field = 0
+    assert getattr(record, field) == before
+
+
+@sample
+def test_pickle_and_copy_round_trip(make):
+    record = make()
+    for clone in (
+        pickle.loads(pickle.dumps(record)),
+        copy.copy(record),
+        copy.deepcopy(record),
+    ):
+        assert type(clone) is type(record)
+        assert clone == record
+
+
+@sample
+def test_unknown_keyword_is_a_type_error(make):
+    cls, values = make().__reduce__()
+    with pytest.raises(TypeError):
+        cls(*values, not_a_field=0)
+
+
+def test_partition_order_is_the_order_of_its_parts():
+    small, large = Partition((2, 1)), Partition((3,))
+    assert small < large and small <= large and small <= Partition((2, 1))
+    assert large > small and large >= small and large >= Partition((3,))
+    assert not large < small
+    assert sorted([large, small, Partition((1, 1, 1))]) == [
+        Partition((1, 1, 1)), small, large,
+    ]
+    with pytest.raises(TypeError):
+        small < (3,)
+
+
+def test_orbit_model_is_unhashable():
+    with pytest.raises(TypeError):
+        hash(standard_orbit_model(7, Family.CPN, 1))
