@@ -13,7 +13,8 @@ order, and writes its own ``__init__`` that stores each field with
 
 ``_fields`` lists the ``__slots__`` of the class and its record bases,
 base fields first, and ``_values`` is the tuple of field values in that
-order; the constructor takes them positionally in that order.
+order; the constructor takes them positionally in that order.  ``_exact``
+is the type check a constructor runs on a field.
 """
 
 from __future__ import annotations
@@ -21,6 +22,15 @@ from __future__ import annotations
 from operator import attrgetter
 
 _set = object.__setattr__
+
+
+def _exact(value, kind: type, field: str, *where: int):
+    """``value`` itself if its type is exactly ``kind``: no bool for an int,
+    no float or numeric string for either.  Otherwise ValueError naming
+    ``field.format(*where)``."""
+    if type(value) is not kind:
+        raise ValueError(f"{field.format(*where)} must be of type {kind.__name__}, got {value!r}")
+    return value
 
 
 class Record:

@@ -228,12 +228,15 @@ def odd_half_denominator(k: int) -> int:
 
 
 def table_rows(max_index: int) -> list[tuple[int, Fraction, int, int]]:
-    """Rows (k, B_k, den(B_k), den(B_k/4k)) for k = 1..max_index."""
+    """Rows (k, B_k, den(B_k), den(B_k/4k)) for k = 1..max_index.
+
+    B_k = num/den in lowest terms, so den(B_k/4k) = 4k den / gcd(num, 4k)."""
     if max_index < 1:
         raise ValueError("index starts at 1")
     bernoulli_ms(max_index)  # one extension to max_index, then memo reads
     rows = []
     for k in range(1, max_index + 1):
         b = bernoulli_ms(k)
-        rows.append((k, b, b.denominator, (b / (4 * k)).denominator))
+        num, den = b.numerator, b.denominator
+        rows.append((k, b, den, 4 * k * den // gcd(num, 4 * k)))
     return rows

@@ -22,9 +22,9 @@ import warnings
 from enum import Enum
 from math import factorial
 
-from ._record import Record, _set
+from ._record import Record, _exact, _set
 from .bernoulli import im_j_order
-from .gradedtop import Family, OrbitModel, _exact, standard_orbit_model
+from .gradedtop import Family, OrbitModel, standard_orbit_model
 
 __all__ = [
     "ManifoldInvariants",

@@ -10,12 +10,17 @@ The degree-k polynomial K_k of the sequence comes from the generating
 function (Hirzebruch, *Topological Methods in Algebraic Geometry* §1;
 Milnor-Stasheff §19), computed directly on partitions of k:
 
-* ``log Q(t) = sum_m c_m t^m``, with ``m c_m = m lam_m - sum_{j<m} j c_j lam_{m-j}``
-  where ``lam_m`` is the coefficient of t^m in Q;
+* ``log Q(t) = sum_m c_m t^m`` with ``m c_m = (-1)^m B_m / (2 (2m)!)``: Q(t)
+  is (y/2)/sinh(y/2) at y^2 = t, and
+  ``log(sinh z / z) = sum_m (-1)^{m+1} 2^{2m} B_m z^{2m} / (2m (2m)!)``;
 * the power sums ``s_m`` of the formal roots, written in ``p_i = e_i`` by
   Newton's identities;
 * ``K = exp(sum_m c_m s_m)``, graded by weight: ``K_0 = 1`` and
   ``w K_w = sum_{m=1..w} m c_m s_m K_{w-m}``.
+
+The recurrence runs on integers, as the Bernoulli table does: each K_w is
+integer numerators over one denominator D_w, and a coefficient becomes a
+``Fraction`` only when the polynomial is returned.
 
 ``alpha(k)``, the coefficient of p_k, is the closed form -B_k / (2 (2k)!);
 its agreement with the full polynomial and with a Bernoulli-free oracle is
@@ -26,9 +31,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, gcd, lcm
+from operator import lt
 
-from ._record import Record, _set
+from ._record import Record, _exact, _set
 from .bernoulli import bernoulli_ms, im_j_order
 
 __all__ = [
@@ -52,10 +58,13 @@ class Partition(Record):
 
     def __init__(self, parts: tuple[int, ...]) -> None:
         parts = tuple(parts)
+        if not set(map(type, parts)) <= {int}:
+            for i, p in enumerate(parts):
+                _exact(p, int, "partition part {}", i)
         _set(self, "parts", parts)
-        if any(p < 1 for p in parts):
+        if min(parts, default=1) < 1:
             raise ValueError("partition parts must be positive")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+        if any(map(lt, parts, parts[1:])):
             raise ValueError("partition parts must be weakly decreasing")
 
     def __eq__(self, other: object) -> bool:
@@ -101,7 +110,7 @@ class PontrjaginPolynomial:
         self.degree = degree
         # lexicographic on decreasing part lists, largest first: deterministic output
         self._terms = {
-            part: Fraction(c)
+            part: c if type(c) is Fraction else Fraction(c)
             for part, c in sorted(terms.items(), key=lambda kv: kv[0].parts, reverse=True)
             if c != 0
         }
@@ -158,51 +167,58 @@ def ahat_char_coeff(m: int) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # Generating-function route in the partition basis.  A polynomial in the
-# p_i is a dict from weakly decreasing part tuples to coefficients; the
-# product of two monomials is the sorted concatenation of their parts.
+# p_i is a dict from weakly decreasing part tuples to integer coefficients;
+# the product of two monomials is the sorted concatenation of their parts.
 # The memoized values below are shared between callers and never mutated.
 
-_Poly = dict[tuple[int, ...], Fraction]
+_Poly = dict[tuple[int, ...], int]
 
 
 @lru_cache(maxsize=None)
-def _log_coeff(m: int) -> Fraction:
-    """c_m, the coefficient of t^m in log Q(t), from
-    m c_m = m lam_m - sum_{j<m} j c_j lam_{m-j}."""
-    acc = m * ahat_char_coeff(m)
-    for j in range(1, m):
-        acc -= j * _log_coeff(j) * ahat_char_coeff(m - j)
-    return acc / m
+def _log_scalar(m: int) -> Fraction:
+    """m c_m = (-1)^m B_m / (2 (2m)!), c_m the coefficient of t^m in
+    log Q(t)."""
+    return (-1) ** m * bernoulli_ms(m) / (2 * factorial(2 * m))
 
 
-def _add_product(out: _Poly, a: _Poly, b: _Poly, scale: Fraction | int) -> None:
+def _add_product(out: _Poly, a: _Poly, b: _Poly, scale: int) -> None:
     """out += scale * a * b."""
+    get = out.get
     for pa, ca in a.items():
+        c = scale * ca
         for pb, cb in b.items():
             key = tuple(sorted(pa + pb, reverse=True))
-            out[key] = out.get(key, 0) + scale * ca * cb
+            out[key] = get(key, 0) + c * cb
 
 
 @lru_cache(maxsize=None)
 def _power_sum(m: int) -> _Poly:
     """s_m = sum_i x_i^m in the p_i = e_i(x), by Newton's identities:
     s_m = sum_{i<m} (-1)^{i-1} p_i s_{m-i} + (-1)^{m-1} m p_m."""
-    out: _Poly = {(m,): Fraction((-1) ** (m - 1) * m)}
+    out: _Poly = {(m,): (-1) ** (m - 1) * m}
     for i in range(1, m):
-        _add_product(out, {(i,): Fraction(1)}, _power_sum(m - i), (-1) ** (i - 1))
+        _add_product(out, {(i,): 1}, _power_sum(m - i), (-1) ** (i - 1))
     return out
 
 
 @lru_cache(maxsize=None)
-def _sequence_part(w: int) -> _Poly:
-    """K_w, the weight-w part of exp(sum_m c_m s_m), by the weight
-    recurrence K_0 = 1, w K_w = sum_{m=1..w} m c_m s_m K_{w-m}."""
+def _sequence_part(w: int) -> tuple[_Poly, int]:
+    """(N_w, D_w) with K_w = N_w / D_w the weight-w part of
+    exp(sum_m c_m s_m), by the weight recurrence K_0 = 1,
+    w K_w = sum_{m=1..w} m c_m s_m K_{w-m}.
+
+    D_w is the lcm of the denominators of the scalars
+    m c_m / (w D_{w-m}); the gcd of D_w and every numerator is divided
+    out, and zero numerators are dropped."""
     if w == 0:
-        return {(): Fraction(1)}
+        return {(): 1}, 1
+    scalars = [_log_scalar(m) / (w * _sequence_part(w - m)[1]) for m in range(1, w + 1)]
+    den = lcm(*(s.denominator for s in scalars))
     out: _Poly = {}
-    for m in range(1, w + 1):
-        _add_product(out, _power_sum(m), _sequence_part(w - m), Fraction(m, w) * _log_coeff(m))
-    return out
+    for m, s in enumerate(scalars, 1):
+        _add_product(out, _power_sum(m), _sequence_part(w - m)[0], s.numerator * (den // s.denominator))
+    g = gcd(den, *out.values())
+    return {key: c // g for key, c in out.items() if c}, den // g
 
 
 def multiplicative_sequence(k: int) -> PontrjaginPolynomial:
@@ -212,8 +228,9 @@ def multiplicative_sequence(k: int) -> PontrjaginPolynomial:
     """
     if k < 1:
         raise ValueError("degree starts at 1")
+    numerators, den = _sequence_part(k)
     return PontrjaginPolynomial(
-        k, {Partition(parts): c for parts, c in _sequence_part(k).items()}
+        k, {Partition(parts): Fraction(c, den) for parts, c in numerators.items()}
     )
 
 

@@ -16,10 +16,11 @@ a model producing torsion errors out rather than guessing the extension.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import chain
 from math import gcd, isqrt
-from operator import mul
+from operator import add, mul, sub
 
-from ._record import Record, _set
+from ._record import Record, _exact, _set
 
 __all__ = [
     "IntMatrix",
@@ -34,15 +35,6 @@ __all__ = [
     "check_highly_connected",
     "divisibility_transfer",
 ]
-
-
-def _exact(value, kind: type, field: str, *where: int):
-    """``value`` itself if its type is exactly ``kind``: no bool for an int,
-    no float or numeric string for either.  Otherwise ValueError naming
-    ``field.format(*where)``."""
-    if type(value) is not kind:
-        raise ValueError(f"{field.format(*where)} must be of type {kind.__name__}, got {value!r}")
-    return value
 
 
 def _degree(key: str) -> int:
@@ -69,8 +61,8 @@ class IntMatrix(Record):
             tuple(_exact(x, int, "matrix entry [{}][{}]", i, j) for j, x in enumerate(row))
             for i, row in enumerate(entries)
         )
-        _set(self, "rows", rows)
-        _set(self, "cols", cols)
+        _set(self, "rows", _exact(rows, int, "rows"))
+        _set(self, "cols", _exact(cols, int, "cols"))
         _set(self, "entries", entries)
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
@@ -267,11 +259,16 @@ class GradedGroup(Record):
         torsion: tuple[tuple[int, ...], ...],
     ) -> None:
         _exact(top_degree, int, "top_degree")
-        ranks = tuple(_exact(r, int, "rank at degree {}", j) for j, r in enumerate(ranks))
-        torsion = tuple(
-            tuple(_exact(c, int, "torsion coefficient at degree {}", j) for c in t)
-            for j, t in enumerate(torsion)
-        )
+        # one built-in pass over the types; the loops only name the degree
+        ranks = tuple(ranks)
+        if not set(map(type, ranks)) <= {int}:
+            for j, r in enumerate(ranks):
+                _exact(r, int, "rank at degree {}", j)
+        torsion = tuple(map(tuple, torsion))
+        if not set(map(type, chain.from_iterable(torsion))) <= {int}:
+            for j, t in enumerate(torsion):
+                for c in t:
+                    _exact(c, int, "torsion coefficient at degree {}", j)
         _set(self, "top_degree", top_degree)
         _set(self, "ranks", ranks)
         _set(self, "torsion", torsion)
@@ -279,9 +276,9 @@ class GradedGroup(Record):
             raise ValueError("top degree must be nonnegative")
         if len(ranks) != top_degree + 1 or len(torsion) != top_degree + 1:
             raise ValueError("need one rank and one torsion list per degree")
-        if any(r < 0 for r in ranks):
+        if min(ranks, default=0) < 0:
             raise ValueError("ranks must be nonnegative")
-        if any(c < 2 for t in torsion for c in t):
+        if min(chain.from_iterable(torsion), default=2) < 2:
             raise ValueError("torsion coefficients must be >= 2")
 
     @classmethod
@@ -360,34 +357,33 @@ class OrbitModel(Record):
         cup_t: dict[int, IntMatrix],
         euler_primitive: bool = True,
     ) -> None:
-        _set(self, "n", n)
+        _set(self, "n", _exact(n, int, "n"))
         _set(self, "family", family)
-        _set(self, "r", r)
+        _set(self, "r", _exact(r, int, "r"))
         _set(self, "cohomology", cohomology)
         _set(self, "cup_t", cup_t)
-        _set(self, "euler_primitive", euler_primitive)
-        if self.n < 5 or self.n % 2 == 0:
+        _set(self, "euler_primitive", _exact(euler_primitive, bool, "euler_primitive"))
+        if n < 5 or n % 2 == 0:
             raise ValueError("dimension out of scope")
-        if self.r < 0:
+        if r < 0:
             raise ValueError("handle count must be nonnegative")
-        coh = self.cohomology
-        if coh.top_degree != 2 * self.n:
+        if cohomology.top_degree != 2 * n:
             raise ValueError("cohomology must live in degrees 0..2n")
-        if any(coh.torsion_at(j) for j in range(coh.top_degree + 1)):
+        if any(cohomology.torsion):
             raise ValueError("orbit-space cohomology must be torsion free")
-        if coh.rank(0) != 1 or coh.rank(1) != 0 or coh.rank(2) != 1:
+        ranks = cohomology.ranks
+        if ranks[:3] != (1, 0, 1):
             raise ValueError("H^0 = Z, H^1 = 0, H^2 = Z are required")
-        if coh.rank(self.n) % 2:
+        if ranks[n] % 2:
             raise ValueError("middle rank must be even")
-        for j in range(2 * self.n + 1):
-            if coh.rank(j) != coh.rank(2 * self.n - j):
-                raise ValueError("ranks must satisfy Poincare duality")
-        for j, mat in self.cup_t.items():
-            if not 0 <= j <= 2 * self.n - 2:
-                raise ValueError(f"cup map at degree {j} outside 0..{2 * self.n - 2}")
-            if mat.cols != coh.rank(j) or mat.rows != coh.rank(j + 2):
+        if ranks != ranks[::-1]:
+            raise ValueError("ranks must satisfy Poincare duality")
+        for j, mat in cup_t.items():
+            if not 0 <= j <= 2 * n - 2:
+                raise ValueError(f"cup map at degree {j} outside 0..{2 * n - 2}")
+            if mat.cols != ranks[j] or mat.rows != ranks[j + 2]:
                 raise ValueError(f"cup map at degree {j} has wrong shape")
-        if self.euler_primitive and self.cup_map(0).entries not in (((1,),), ((-1,),)):
+        if euler_primitive and self.cup_map(0).entries not in (((1,),), ((-1,),)):
             raise ValueError("a primitive Euler class needs cup_t[0] = [[1]] or [[-1]]")
 
     def cup_map(self, j: int) -> IntMatrix:
@@ -415,12 +411,12 @@ class OrbitModel(Record):
             j = _degree(key)
             cup[j] = IntMatrix.from_rows([list(r) for r in rows], cols=coh.rank(j))
         return cls(
-            n=_exact(data["n"], int, "n"),
+            n=data["n"],
             family=Family(data["family"]),
-            r=_exact(data["r"], int, "r"),
+            r=data["r"],
             cohomology=coh,
             cup_t=cup,
-            euler_primitive=_exact(data.get("euler_primitive", True), bool, "euler_primitive"),
+            euler_primitive=data.get("euler_primitive", True),
         )
 
 
@@ -433,21 +429,22 @@ def standard_orbit_model(n: int, family: Family | str, r: int) -> OrbitModel:
     isomorphism for the projective family and zero for the product family
     (t^{(n+1)/2} vanishes there and the sphere class is not a t-multiple).
     """
+    _exact(n, int, "n")
+    _exact(r, int, "r")
     if n < 5 or n % 2 == 0:
         raise ValueError("dimension out of scope")
     if r < 0:
         raise ValueError("handle count must be nonnegative")
     family = Family(family)
-    ranks = [1 - j % 2 for j in range(2 * n + 1)]
+    ranks = [1, 0] * n + [1]
     ranks[n] += 2 * r  # handles: r copies of S^n x S^n
     # t^a -> t^{a+1} (or its sphere translate) is onto a generator; handle
     # classes and the degree-n-1 class of the product family go to zero
-    dead = n - 1 if family is Family.CPHALF_TIMES_SPHERE else None
-    unit = IntMatrix.from_rows([[1]])
-    cup = {j: unit for j in range(0, 2 * n - 1, 2) if j != dead}
-    cohomology = GradedGroup(
-        2 * n, tuple(ranks), tuple(() for _ in range(2 * n + 1))
-    )
+    unit = IntMatrix(1, 1, ((1,),))
+    cup = dict.fromkeys(range(0, 2 * n - 1, 2), unit)
+    if family is Family.CPHALF_TIMES_SPHERE:
+        del cup[n - 1]
+    cohomology = GradedGroup(2 * n, tuple(ranks), ((),) * (2 * n + 1))
     return OrbitModel(
         n=n, family=family, r=r, cohomology=cohomology, cup_t=cup, euler_primitive=True
     )
@@ -463,24 +460,33 @@ def gysin_total_space(model: OrbitModel) -> GradedGroup:
     """
     if not model.euler_primitive:
         raise ValueError("Euler class must generate H^2")
-    image: dict[int, int] = {}
+    top = 2 * model.n
+    image = [0] * (top + 1)  # rank of the image of t on H^j
     cokernels: dict[IntMatrix, tuple[int, tuple[int, ...]]] = {}
+    last = None  # a run of one shared map is looked up once
     for j, mat in sorted(model.cup_t.items()):
-        if mat not in cokernels:
-            cokernels[mat] = cokernel(mat)
-        coker_free, coker_torsion = cokernels[mat]
-        if coker_torsion:
-            raise ArithmeticError(
-                f"cup-with-t cokernel at degree {j + 2} has torsion {coker_torsion}; "
-                "extension undetermined for this model"
-            )
-        image[j] = mat.rows - coker_free
-    n, coh = model.n, model.cohomology
+        if mat is not last:
+            if mat not in cokernels:
+                cokernels[mat] = cokernel(mat)
+            coker_free, coker_torsion = cokernels[mat]
+            if coker_torsion:
+                raise ArithmeticError(
+                    f"cup-with-t cokernel at degree {j + 2} has torsion {coker_torsion}; "
+                    "extension undetermined for this model"
+                )
+            rank, last = mat.rows - coker_free, mat
+        image[j] = rank
+    # degree j of the total space, j = 0..top+1:
+    # rank H^j - image on H^{j-2}  +  rank H^{j-1} - image on H^{j-1}
+    base = model.cohomology.ranks
     ranks = tuple(
-        coh.rank(j) - image.get(j - 2, 0) + coh.rank(j - 1) - image.get(j - 1, 0)
-        for j in range(2 * n + 2)
+        map(
+            sub,
+            map(add, base + (0,), (0,) + base),
+            map(add, [0, 0] + image[:-1], [0] + image),
+        )
     )
-    return GradedGroup(2 * n + 1, ranks, tuple(() for _ in range(2 * n + 2)))
+    return GradedGroup(top + 1, ranks, ((),) * (top + 2))
 
 
 def check_highly_connected(h: GradedGroup, n: int) -> bool:

@@ -167,6 +167,15 @@ def test_table_rows_shape():
     assert rows[3] == (4, Fraction(1, 30), 30, 480)
 
 
+def test_table_rows_image_of_j_column_is_the_fraction_denominator():
+    # den(B_k/4k) from num and den of B_k, pinned to the Fraction division
+    rows = table_rows(300)
+    assert [k for k, _, _, _ in rows] == list(range(1, 301))
+    for k, b, den, imj in rows:
+        assert den == b.denominator
+        assert imj == (b / (4 * k)).denominator
+
+
 def test_table_rows_reads_the_shared_table(monkeypatch):
     shared = BernoulliTable()
     monkeypatch.setattr(bernoulli, "_SHARED", shared)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import pytest
@@ -259,3 +260,70 @@ def test_multiplicativity_check_detects_a_perturbed_coefficient(monkeypatch):
     monkeypatch.setattr(genus, "multiplicative_sequence", perturbed)
     with pytest.raises(AssertionError):
         _check_multiplicativity()
+
+
+def test_partition_parts_must_be_ints():
+    with pytest.raises(ValueError, match=r"^partition part 0 must be of type int, got 2\.5$"):
+        Partition((2.5, 1))
+    with pytest.raises(ValueError, match=r"^partition part 1 must be of type int, got True$"):
+        Partition((2, True))
+
+
+# The rational recurrence the integer one replaced, kept here as its pin:
+# c_m from the series coefficients lam_m, power sums and sequence parts all
+# with Fraction coefficients.
+
+
+@lru_cache(maxsize=None)
+def _fraction_log_coeff(m):
+    acc = m * ahat_char_coeff(m)
+    for j in range(1, m):
+        acc -= j * _fraction_log_coeff(j) * ahat_char_coeff(m - j)
+    return acc / m
+
+
+def _fraction_add_product(out, a, b, scale):
+    for pa, ca in a.items():
+        for pb, cb in b.items():
+            key = tuple(sorted(pa + pb, reverse=True))
+            out[key] = out.get(key, 0) + scale * ca * cb
+
+
+@lru_cache(maxsize=None)
+def _fraction_power_sum(m):
+    out = {(m,): Fraction((-1) ** (m - 1) * m)}
+    for i in range(1, m):
+        _fraction_add_product(out, {(i,): Fraction(1)}, _fraction_power_sum(m - i), (-1) ** (i - 1))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _fraction_sequence_part(w):
+    if w == 0:
+        return {(): Fraction(1)}
+    out = {}
+    for m in range(1, w + 1):
+        _fraction_add_product(
+            out, _fraction_power_sum(m), _fraction_sequence_part(w - m),
+            Fraction(m, w) * _fraction_log_coeff(m),
+        )
+    return out
+
+
+def test_log_scalar_is_the_series_logarithm():
+    # the closed form m c_m = (-1)^m B_m / (2 (2m)!) against log Q(t)
+    # expanded from the series coefficients
+    for m in range(1, 41):
+        assert genus._log_scalar(m) == m * _fraction_log_coeff(m)
+
+
+def test_integer_recurrence_equals_the_fraction_recurrence():
+    for k in range(1, 17):
+        pinned = PontrjaginPolynomial(
+            k, {Partition(parts): c for parts, c in _fraction_sequence_part(k).items()}
+        )
+        poly = multiplicative_sequence(k)
+        assert list(poly.items()) == list(pinned.items())
+        assert all(type(c) is Fraction for c in poly.terms.values())
+        assert poly.to_json_dict() == pinned.to_json_dict()
+        assert list(poly.to_json_dict()["terms"]) == list(pinned.to_json_dict()["terms"])

@@ -2,6 +2,7 @@ import inspect
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -34,6 +35,15 @@ def test_matrix_validation():
         IntMatrix(2, 2, ((1, 2),))
     with pytest.raises(ValueError):
         IntMatrix(1, 2, ((1,),))
+
+
+def test_matrix_dimensions_must_be_ints():
+    # 2 == 2.0 and 1 == True let the grid check pass; cokernel then died
+    # with a bare TypeError
+    with pytest.raises(ValueError, match=r"^rows must be of type int, got 2\.0$"):
+        IntMatrix(2.0, True, ((1,), (2,)))
+    with pytest.raises(ValueError, match=r"^cols must be of type int, got True$"):
+        IntMatrix(2, True, ((1,), (2,)))
 
 
 def test_matrix_constructors():
@@ -200,12 +210,41 @@ def test_graded_group_accessors():
 
 
 def test_graded_group_validation():
-    with pytest.raises(ValueError):
-        GradedGroup(1, (1,), ((), ()))
-    with pytest.raises(ValueError):
-        GradedGroup(0, (-1,), ((),))
-    with pytest.raises(ValueError):
-        GradedGroup(0, (1,), ((1,),))
+    cases = [
+        ((1, (1,), ((), ())), "need one rank and one torsion list per degree"),
+        ((0, (-1,), ((),)), "ranks must be nonnegative"),
+        ((0, (1,), ((1,),)), "torsion coefficients must be >= 2"),
+        ((4, (1, 0, -1, 0, 1), ((),) * 5), "ranks must be nonnegative"),
+        ((4, (1, 0, 0, 0, 1), ((), (), (2, 1), (), ())), "torsion coefficients must be >= 2"),
+        ((-1, (), ()), "top degree must be nonnegative"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GradedGroup(*args)
+    group = GradedGroup(4, [1, 0, 0, 0, 1], [[], [2, 3], [], [], []])
+    assert group.ranks == (1, 0, 0, 0, 1) and group.torsion == ((), (2, 3), (), (), ())
+
+
+@pytest.mark.parametrize("bad", [1.0, True, "1"])
+def test_graded_group_rank_type_names_the_degree(bad):
+    ranks = [1, 0, 2, 0, 1]
+    for j in range(5):
+        wrong = ranks[:j] + [bad] + ranks[j + 1:]
+        message = f"rank at degree {j} must be of type int, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GradedGroup(4, tuple(wrong), ((),) * 5)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GradedGroup(4, wrong, [[]] * 5)  # lists are converted, as before
+    # the first offending degree is named
+    with pytest.raises(ValueError, match="^rank at degree 1 must be"):
+        GradedGroup(4, (1, bad, 2, bad, 1), ((),) * 5)
+
+
+@pytest.mark.parametrize("bad", [2.0, True, "2"])
+def test_graded_group_torsion_type_names_the_degree(bad):
+    message = f"torsion coefficient at degree 3 must be of type int, got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GradedGroup(4, (1, 0, 0, 0, 1), ((), (2,), (), (3, bad), ()))
 
 
 @st.composite
@@ -359,6 +398,22 @@ def test_standard_model_rejects_bad_dimension():
         standard_orbit_model(7, Family.CPN, -1)
 
 
+def test_model_arguments_must_be_ints():
+    # n = 7.0 died in range() with a bare TypeError, and r = 1.5 was reported
+    # as a rank of 3.0 at degree 7, a field the caller never passed
+    with pytest.raises(ValueError, match=r"^n must be of type int, got 7\.0$"):
+        standard_orbit_model(7.0, "CPN", 1)
+    with pytest.raises(ValueError, match=r"^r must be of type int, got 1\.5$"):
+        standard_orbit_model(7, "CPN", 1.5)
+    with pytest.raises(ValueError, match=r"^r must be of type int, got True$"):
+        standard_orbit_model(7, "CPN", True)
+    base = standard_orbit_model(7, Family.CPN, 1)
+    with pytest.raises(ValueError, match=r"^n must be of type int, got 7\.0$"):
+        OrbitModel(n=7.0, family=Family.CPN, r=1, cohomology=base.cohomology, cup_t=base.cup_t)
+    with pytest.raises(ValueError, match=r"^r must be of type int, got 1\.0$"):
+        OrbitModel(n=7, family=Family.CPN, r=1.0, cohomology=base.cohomology, cup_t=base.cup_t)
+
+
 @pytest.mark.parametrize("n", [5, 7, 15])
 def test_gysin_sphere(n):
     model = standard_orbit_model(n, Family.CPN, 0)
@@ -425,6 +480,56 @@ def test_explicit_zero_maps_change_nothing(n, r, family):
     assert gysin_total_space(padded) == gysin_total_space(model)
     for d in (0, 1440, 2419200):
         assert divisibility_transfer(padded, d) == divisibility_transfer(model, d)
+
+
+def _per_degree_gysin(model):
+    """The total-space ranks degree by degree, one cokernel per stored map:
+    the bookkeeping gysin_total_space does with built-in sequence
+    operations."""
+    image = {}
+    for j, mat in sorted(model.cup_t.items()):
+        free, torsion = cokernel(mat)
+        if torsion:
+            raise ArithmeticError(
+                f"cup-with-t cokernel at degree {j + 2} has torsion {torsion}; "
+                "extension undetermined for this model"
+            )
+        image[j] = mat.rows - free
+    n, coh = model.n, model.cohomology
+    ranks = tuple(
+        coh.rank(j) - image.get(j - 2, 0) + coh.rank(j - 1) - image.get(j - 1, 0)
+        for j in range(2 * n + 2)
+    )
+    return GradedGroup(2 * n + 1, ranks, tuple(() for _ in range(2 * n + 2)))
+
+
+def test_gysin_equals_the_per_degree_formula():
+    for n in range(5, 64, 2):
+        for family in Family:
+            for r in range(5):
+                model = standard_orbit_model(n, family, r)
+                assert gysin_total_space(model) == _per_degree_gysin(model)
+
+
+def test_gysin_mixed_maps_equal_the_per_degree_formula():
+    model = standard_orbit_model(15, Family.CPHALF_TIMES_SPHERE, 2)
+    minus = IntMatrix.from_rows([[-1]])
+    cup = dict(model.cup_t)
+    for j in (0, 4, 6, 20):
+        cup[j] = minus
+    mixed = OrbitModel(n=15, family=model.family, r=2, cohomology=model.cohomology, cup_t=cup)
+    assert gysin_total_space(mixed) == _per_degree_gysin(mixed) == gysin_total_space(model)
+    # torsion at two degrees, the shared unit map in between: both name the
+    # lowest degree whose cokernel has torsion
+    cup[22] = IntMatrix.from_rows([[2]])
+    cup[8] = IntMatrix.from_rows([[3]])
+    twisted = OrbitModel(n=15, family=model.family, r=2, cohomology=model.cohomology, cup_t=cup)
+    with pytest.raises(ArithmeticError) as new:
+        gysin_total_space(twisted)
+    with pytest.raises(ArithmeticError) as old:
+        _per_degree_gysin(twisted)
+    assert str(new.value) == str(old.value)
+    assert str(new.value).startswith("cup-with-t cokernel at degree 10 has torsion (3,)")
 
 
 def test_gysin_refuses_a_cokernel_with_torsion():
@@ -516,21 +621,25 @@ def test_model_validation_rejects_bad_shapes():
 def test_model_validation_rejects_bad_cohomology():
     # missing unit in degree 0
     no_unit = GradedGroup.from_ranks(14, {2: 1, 7: 2, 12: 1, 14: 1})
-    with pytest.raises(ValueError, match="H\\^0"):
+    with pytest.raises(ValueError, match="^H\\^0 = Z, H\\^1 = 0, H\\^2 = Z are required$"):
         OrbitModel(n=7, family=Family.CPN, r=1, cohomology=no_unit, cup_t={})
     # duality broken: extra class in degree 4 with no partner in degree 10
     lopsided = GradedGroup.from_ranks(
         14, {0: 1, 2: 1, 4: 2, 6: 1, 7: 2, 8: 1, 10: 1, 12: 1, 14: 1}
     )
-    with pytest.raises(ValueError, match="duality"):
+    with pytest.raises(ValueError, match="^ranks must satisfy Poincare duality$"):
         OrbitModel(n=7, family=Family.CPN, r=1, cohomology=lopsided, cup_t={})
     # odd middle rank
     base = standard_orbit_model(7, Family.CPN, 0).cohomology
     odd_middle = GradedGroup.from_ranks(
         14, {j: base.rank(j) for j in range(15)} | {7: 1}
     )
-    with pytest.raises(ValueError, match="middle rank"):
+    with pytest.raises(ValueError, match="^middle rank must be even$"):
         OrbitModel(n=7, family=Family.CPN, r=0, cohomology=odd_middle, cup_t={})
+    # torsion anywhere, here in degree 5
+    twisted = GradedGroup.from_ranks(14, dict(enumerate(base.ranks)), {5: (2,)})
+    with pytest.raises(ValueError, match="^orbit-space cohomology must be torsion free$"):
+        OrbitModel(n=7, family=Family.CPN, r=0, cohomology=twisted, cup_t={})
 
 
 def test_model_validation_rejects_a_non_generating_euler_class():
