@@ -34,6 +34,8 @@ from fractions import Fraction
 from itertools import count
 from math import gcd
 
+from ._record import _exact
+
 __all__ = [
     "BernoulliTable",
     "bernoulli_ms",
@@ -46,13 +48,15 @@ __all__ = [
 class BernoulliTable:
     """Memoized Bernoulli numbers, extended on demand.
 
-    Extension is serialized behind a lock; the returned Fractions are
-    immutable, so any number of concurrent readers is safe.
+    Each k is stored once as a complete row (k, B_k, den(B_k), den(B_k/4k)),
+    so a repeated ``table_rows`` is a slice of the memo.  Extension is
+    serialized behind a lock; the rows are tuples of immutable values, so
+    any number of concurrent readers is safe.
     """
 
     def __init__(self, max_index: int = 0) -> None:
         self._lock = threading.Lock()
-        self._values: list[Fraction] = []  # B_1, B_2, ...
+        self._rows: list[tuple[int, Fraction, int, int]] = []  # row k at index k - 1
         # Brent-Harvey's recurrence on column K = max_index: entry j is T_K
         # after pass j + 1; the last entry is T_K itself
         self._column: list[int] = []
@@ -62,14 +66,14 @@ class BernoulliTable:
     @property
     def max_index(self) -> int:
         """Largest k whose B_k is currently cached."""
-        return len(self._values)
+        return len(self._rows)
 
     def _extend(self, upto: int) -> None:
         # Column i follows from column i - 1: t_i(1) = (i-1) t_{i-1}(1) and
         # t_i(j) = (i-j) t_{i-1}(j) + (i-j+2) t_i(j-1) for j = 2..i, where
         # t_i(j) is T_i after pass j of the in-place recurrence
-        col = self._column
-        for i in range(len(self._values) + 1, upto + 1):
+        col, rows = self._column, self._rows
+        for i in range(len(rows) + 1, upto + 1):
             if i == 1:
                 col = [1]
             else:
@@ -80,17 +84,20 @@ class BernoulliTable:
                     nxt.append(prev)
                 nxt.append(2 * prev)
                 col = nxt
-            self._values.append(Fraction(2 * i * col[-1], 4**i * (4**i - 1)))
+            b = Fraction(2 * i * col[-1], 4**i * (4**i - 1))
+            # B_i = num/den in lowest terms, so den(B_i/4i) = 4i den / gcd(num, 4i)
+            num, den = b.numerator, b.denominator
+            rows.append((i, b, den, 4 * i * den // gcd(num, 4 * i)))
         self._column = col
 
     def value(self, k: int) -> Fraction:
         """B_k in the positive convention; always > 0."""
-        if k < 1:
+        if _exact(k, int, "k") < 1:
             raise ValueError("index starts at 1")
         with self._lock:
-            if len(self._values) < k:
+            if len(self._rows) < k:
                 self._extend(k)
-            return self._values[k - 1]
+            return self._rows[k - 1][1]
 
 
 _SHARED = BernoulliTable()
@@ -202,7 +209,7 @@ def im_j_order(k: int) -> int:
     Closed form of von Staudt-Clausen and Adams: the odd primes p with
     (p-1) | 2k are the primes among 2d + 1 for the divisors d of k.
     """
-    if k < 1:
+    if _exact(k, int, "k") < 1:
         raise ValueError("index starts at 1")
     factors = _factorize(k)
     divisors = [1]
@@ -228,15 +235,11 @@ def odd_half_denominator(k: int) -> int:
 
 
 def table_rows(max_index: int) -> list[tuple[int, Fraction, int, int]]:
-    """Rows (k, B_k, den(B_k), den(B_k/4k)) for k = 1..max_index.
-
-    B_k = num/den in lowest terms, so den(B_k/4k) = 4k den / gcd(num, 4k)."""
-    if max_index < 1:
+    """Rows (k, B_k, den(B_k), den(B_k/4k)) for k = 1..max_index, as a
+    fresh list: a slice of the shared table's memoized rows."""
+    if _exact(max_index, int, "max_index") < 1:
         raise ValueError("index starts at 1")
-    bernoulli_ms(max_index)  # one extension to max_index, then memo reads
-    rows = []
-    for k in range(1, max_index + 1):
-        b = bernoulli_ms(k)
-        num, den = b.numerator, b.denominator
-        rows.append((k, b, den, 4 * k * den // gcd(num, 4 * k)))
-    return rows
+    bernoulli_ms(max_index)  # at most one extension, through BernoulliTable.value
+    table = _SHARED
+    with table._lock:
+        return table._rows[:max_index]

@@ -60,7 +60,7 @@ class ManifoldInvariants(Record):
 def kervaire_coefficient(k: int) -> int:
     """a_k: the index of p_k on stable bundles over S^{4k} is a_k (2k-1)!;
     a_k = 2 for odd k, 1 for even k."""
-    if k < 1:
+    if _exact(k, int, "k") < 1:
         raise ValueError("index starts at 1")
     return 2 if k % 2 else 1
 

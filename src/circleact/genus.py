@@ -248,7 +248,7 @@ def twisted_pairing(k: int, d: int) -> Fraction:
     The sign is fixed to + (a choice of orientation); only divisibility is
     ever consumed downstream, so the choice is immaterial there.
     """
-    return alpha(k) * d
+    return alpha(k) * _exact(d, int, "d")
 
 
 def integrality_bound(k: int) -> int:

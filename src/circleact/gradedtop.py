@@ -212,11 +212,16 @@ def _invariant_factors(mat: IntMatrix, bound: int | None = None) -> tuple[int, .
                     row[j] -= q * head[j]
             if row[t]:
                 rest = True
-        for j in range(t + 1, nc):
-            q = head[j] // pivot
-            if q:
-                for row in a[t:]:
-                    row[j] -= q * row[t]
+        if rest:
+            for j in range(t + 1, nc):
+                q = head[j] // pivot
+                if q:
+                    for row in a[t:]:
+                        row[j] -= q * row[t]
+        else:
+            # column t is clear below the pivot, so only the head row changes:
+            # x - (x // pivot) * pivot is x % pivot
+            head[t + 1:] = [x % pivot for x in head[t + 1:]]
         if rest or any(head[t + 1:]):
             continue
         # the pivot must divide every remaining entry; if not, fold the
@@ -265,7 +270,9 @@ class GradedGroup(Record):
             for j, r in enumerate(ranks):
                 _exact(r, int, "rank at degree {}", j)
         torsion = tuple(map(tuple, torsion))
-        if not set(map(type, chain.from_iterable(torsion))) <= {int}:
+        # both torsion passes are vacuous for a torsion-free group
+        has_torsion = any(torsion)
+        if has_torsion and not set(map(type, chain.from_iterable(torsion))) <= {int}:
             for j, t in enumerate(torsion):
                 for c in t:
                     _exact(c, int, "torsion coefficient at degree {}", j)
@@ -278,7 +285,7 @@ class GradedGroup(Record):
             raise ValueError("need one rank and one torsion list per degree")
         if min(ranks, default=0) < 0:
             raise ValueError("ranks must be nonnegative")
-        if min(chain.from_iterable(torsion), default=2) < 2:
+        if has_torsion and min(chain.from_iterable(torsion)) < 2:
             raise ValueError("torsion coefficients must be >= 2")
 
     @classmethod
@@ -351,14 +358,14 @@ class OrbitModel(Record):
     def __init__(
         self,
         n: int,
-        family: Family,
+        family: Family | str,
         r: int,
         cohomology: GradedGroup,
         cup_t: dict[int, IntMatrix],
         euler_primitive: bool = True,
     ) -> None:
         _set(self, "n", _exact(n, int, "n"))
-        _set(self, "family", family)
+        _set(self, "family", Family(family))
         _set(self, "r", _exact(r, int, "r"))
         _set(self, "cohomology", cohomology)
         _set(self, "cup_t", cup_t)
@@ -511,7 +518,7 @@ def divisibility_transfer(model: OrbitModel, d: int) -> int:
     """
     if model.n % 8 != 7:
         raise ValueError("transfer defined only for n = 7 (mod 8)")
-    if d < 0:
+    if _exact(d, int, "d") < 0:
         raise ValueError("divisibility must be nonnegative")
     mat = model.cup_map(model.n - 1)
     if mat.rows == mat.cols and cokernel(mat) == (0, ()):

@@ -1,3 +1,5 @@
+import re
+import sys
 import threading
 import time
 from fractions import Fraction
@@ -12,7 +14,9 @@ from circleact.bernoulli import (
     odd_half_denominator,
     table_rows,
 )
-from circleact.classifier import ManifoldInvariants, classify
+from circleact.classifier import ManifoldInvariants, classify, kervaire_coefficient
+from circleact.genus import twisted_pairing
+from circleact.gradedtop import divisibility_transfer, standard_orbit_model
 from circleact import selftest
 from circleact.selftest import fraction_recurrence, vsc_denominator
 
@@ -197,3 +201,87 @@ def test_concurrent_readers_extend_consistently():
         t.join()
     assert len(set(results)) == 1
     assert results[0] == bernoulli_ms(25)
+
+
+def _recomputed_rows(max_index):
+    """Rows from a fresh table, one B_k at a time, den(B_k/4k) by Fraction
+    division."""
+    table = BernoulliTable()
+    rows = []
+    for k in range(1, max_index + 1):
+        b = table.value(k)
+        rows.append((k, b, b.denominator, (b / (4 * k)).denominator))
+    return rows
+
+
+@pytest.mark.parametrize("fills", [(50, 150, 100), (7, 150)])
+def test_table_rows_equal_a_fresh_recomputation_after_fills(monkeypatch, fills):
+    monkeypatch.setattr(bernoulli, "_SHARED", BernoulliTable())
+    for k in fills:
+        table_rows(k)
+    expected = _recomputed_rows(300)
+    for k in range(1, 301):
+        assert table_rows(k) == expected[:k], k
+
+
+def test_mutating_returned_rows_leaves_the_memo_intact(monkeypatch):
+    monkeypatch.setattr(bernoulli, "_SHARED", BernoulliTable())
+    rows = table_rows(20)
+    expected = list(rows)
+    rows[0] = (1, Fraction(7), 7, 7)
+    rows.append(rows[0])
+    del rows[5:10]
+    assert table_rows(20) == expected
+    assert table_rows(21)[:20] == expected
+    assert bernoulli_ms(1) == Fraction(1, 6)
+
+
+def test_concurrent_table_rows_return_equal_prefixes(monkeypatch):
+    monkeypatch.setattr(bernoulli, "_SHARED", BernoulliTable())
+    sizes = [150, 3, 60, 120, 1, 90, 150, 45]
+    results = {}
+    barrier = threading.Barrier(len(sizes), timeout=10)
+
+    def worker(i, k):
+        barrier.wait()
+        results[i] = table_rows(k)
+
+    threads = [threading.Thread(target=worker, args=(i, k)) for i, k in enumerate(sizes)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside the fill and the slice
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    longest = _recomputed_rows(max(sizes))
+    for i, k in enumerate(sizes):
+        assert results[i] == longest[:k]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: im_j_order(2.0), "k must be of type int, got 2.0"),
+        (lambda: table_rows(True), "max_index must be of type int, got True"),
+        (lambda: BernoulliTable().value(2.0), "k must be of type int, got 2.0"),
+        (lambda: bernoulli_ms(True), "k must be of type int, got True"),
+        (lambda: kervaire_coefficient(2.0), "k must be of type int, got 2.0"),
+        (lambda: twisted_pairing(2, 1.5), "d must be of type int, got 1.5"),
+        (lambda: twisted_pairing(2.0, 1), "k must be of type int, got 2.0"),
+        (lambda: divisibility_transfer(standard_orbit_model(7, "CPN", 1), 2.5),
+         "d must be of type int, got 2.5"),
+    ],
+    ids=["im_j_order", "table_rows", "BernoulliTable.value", "bernoulli_ms",
+         "kervaire_coefficient", "twisted_pairing.d", "twisted_pairing.k",
+         "divisibility_transfer"],
+)
+def test_numeric_entry_points_take_exact_ints(call, message):
+    # im_j_order(2.0) returned 240.0, table_rows(True) a row,
+    # kervaire_coefficient(2.0) 1, twisted_pairing(2, 1.5) a float and
+    # divisibility_transfer(model, 2.5) 0
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

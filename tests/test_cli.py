@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -380,3 +381,21 @@ def test_classify_parses_any_l(l):
 @given(n=st.integers(-1023, 1023).map(lambda x: x | 1), b_n=st.integers(-1, 4))
 def test_classify_parses_any_odd_n(n, b_n):
     _check_classify_flags(n, b_n, None)
+
+
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("text", "65c0efe4884114438b1a14114cbd8faec546b3ab7885694ef20a40bf613e730a"),
+        ("json", "63b250349d3060c81d60c9ea7c92ef000e381d0f56079592bbf1af029ce4eb91"),
+    ],
+)
+def test_bernoulli_table_output_is_pinned(capsys, fmt, digest):
+    # SHA-256 of the concatenated stdout of `bernoulli --max N` for N = 1..60,
+    # recorded from the per-row table_rows that the row memo replaced
+    h = hashlib.sha256()
+    for n in range(1, 61):
+        code, out, err = run(capsys, "bernoulli", "--max", str(n), "--format", fmt)
+        assert code == 0 and err == ""
+        h.update(out.encode())
+    assert h.hexdigest() == digest

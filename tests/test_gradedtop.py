@@ -665,3 +665,15 @@ def test_model_json_round_trip():
                 restored = OrbitModel.from_json_dict(data)
                 assert restored == model
                 assert gysin_total_space(restored) == gysin_total_space(model)
+
+
+def test_model_family_must_be_a_family():
+    # family="nope" constructed and ran through Gysin, and to_json_dict then
+    # died with a bare AttributeError
+    base = standard_orbit_model(7, Family.CPN, 1)
+    with pytest.raises(ValueError, match="'nope'"):
+        OrbitModel(n=7, family="nope", r=1, cohomology=base.cohomology, cup_t=base.cup_t)
+    model = OrbitModel(n=7, family="CPN", r=1, cohomology=base.cohomology, cup_t=base.cup_t)
+    assert model.family is Family.CPN
+    assert model == base
+    assert model.to_json_dict() == base.to_json_dict()
