@@ -224,14 +224,13 @@ def im_j_order(k: int) -> int:
 
 
 def odd_half_denominator(k: int) -> int:
-    """den(2 B_k / 4k) for odd k.
-
-    Equals ``im_j_order(k) / 2``: the numerator of B_k is odd and its
-    denominator even, so the extra factor 2 cancels exactly once.
+    """den(2 B_k / 4k) for odd k, as ``im_j_order(k) / 2``: the numerator
+    of B_k is odd and its denominator even, so the extra factor 2 cancels
+    exactly once.  (``selftest`` checks it against the Bernoulli table.)
     """
-    if k % 2 == 0:
+    if _exact(k, int, "k") % 2 == 0:
         raise ValueError("parity: defined for odd k")
-    return (2 * bernoulli_ms(k) / (4 * k)).denominator
+    return im_j_order(k) // 2
 
 
 def table_rows(max_index: int) -> list[tuple[int, Fraction, int, int]]:

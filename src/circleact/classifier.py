@@ -219,7 +219,7 @@ class InvalidInvariantsError(ValueError):
 def required_divisor(n: int) -> DivisorReport:
     """Divisor report for n = 7 (mod 8): required = ((n-1)/2)! * den(B_k/4k)
     with k = (n+1)/4.  (1440 for n = 7, 2419200 for n = 15, ...)"""
-    if n % 8 != 7 or n < 7:
+    if _exact(n, int, "n") % 8 != 7 or n < 7:
         raise ValueError("divisor defined only for n = 7 (mod 8)")
     k = (n + 1) // 4
     a_k = kervaire_coefficient(k)  # k is even here, so a_k = 1
@@ -339,7 +339,7 @@ def classify(inv: ManifoldInvariants) -> ClassificationResult:
 
 def euler_char_cp(m: int) -> int:
     """Euler characteristic of complex projective m-space: m + 1."""
-    if m < 0:
+    if _exact(m, int, "m") < 0:
         raise ValueError("projective dimension must be nonnegative")
     return m + 1
 
@@ -348,6 +348,6 @@ def surgery_obstruction_vanishes(k: int) -> bool:
     """Whether the product-formula surgery obstruction dies in Z/2: it is
     chi(CP^{2k-1}) times a class, and chi(CP^{2k-1}) = 2k is even.
     Computed from the Euler characteristic rather than hard-coded."""
-    if k < 1:
+    if _exact(k, int, "k") < 1:
         raise ValueError("index starts at 1")
     return euler_char_cp(2 * k - 1) % 2 == 0

@@ -92,10 +92,6 @@ class Partition(Record):
     def __str__(self) -> str:
         return ",".join(str(p) for p in self.parts)
 
-    @classmethod
-    def from_string(cls, text: str) -> "Partition":
-        return cls(tuple(int(p) for p in text.split(",")))
-
 
 class PontrjaginPolynomial:
     """Homogeneous weight-k rational polynomial in p_1..p_k, keyed by
@@ -157,7 +153,7 @@ class PontrjaginPolynomial:
 
 def ahat_char_coeff(m: int) -> Fraction:
     """Coefficient of t^m in the characteristic series Q(t); 1 at m = 0."""
-    if m < 0:
+    if _exact(m, int, "m") < 0:
         raise ValueError("series index must be nonnegative")
     if m == 0:
         return Fraction(1)
@@ -226,7 +222,8 @@ def multiplicative_sequence(k: int) -> PontrjaginPolynomial:
 
     Degree 1 is -p1/24, degree 2 is (-4 p2 + 7 p1^2)/5760, and so on.
     """
-    if k < 1:
+    # checked before the cache: True == 1 would hit the entry of k = 1
+    if _exact(k, int, "k") < 1:
         raise ValueError("degree starts at 1")
     numerators, den = _sequence_part(k)
     return PontrjaginPolynomial(
@@ -259,6 +256,6 @@ def integrality_bound(k: int) -> int:
     step a_k (2k-1)! with alpha_k * d an integer (``selftest`` checks
     that by brute-force stepping at small k).
     """
-    if k < 1:
+    if _exact(k, int, "k") < 1:
         raise ValueError("degree starts at 1")
     return factorial(2 * k - 1) * im_j_order(k)

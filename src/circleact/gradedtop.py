@@ -37,20 +37,6 @@ __all__ = [
 ]
 
 
-def _degree(key: str) -> int:
-    """The degree j of a JSON key written exactly as ``str(j)``.  Any other
-    spelling (" 1", "01", "+1", "0_1", non-ASCII digits) is a ValueError
-    naming the key, so no two keys can name one degree."""
-    try:
-        j = int(key)
-    except (TypeError, ValueError):
-        pass
-    else:
-        if str(j) == key:
-            return j
-    raise ValueError(f"degree key {key!r} must be written as str(j) for an integer j")
-
-
 class IntMatrix(Record):
     """Immutable integer matrix; rows x cols, entries[i][j]."""
 
@@ -76,9 +62,8 @@ class IntMatrix(Record):
         return hash(self.entries)
 
     @classmethod
-    def from_rows(cls, rows: list[list[int]], cols: int | None = None) -> "IntMatrix":
-        ncols = cols if cols is not None else (len(rows[0]) if rows else 0)
-        return cls(len(rows), ncols, tuple(tuple(r) for r in rows))
+    def from_rows(cls, rows: list[list[int]]) -> "IntMatrix":
+        return cls(len(rows), len(rows[0]) if rows else 0, tuple(tuple(r) for r in rows))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntMatrix":
@@ -323,18 +308,6 @@ class GradedGroup(Record):
             },
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "GradedGroup":
-        top = _exact(data["top_degree"], int, "top_degree")
-        groups = data.get("groups", {})
-        ranks = {}
-        torsion = {}
-        for key, grp in groups.items():
-            j = _degree(key)
-            ranks[j] = grp.get("rank", 0)
-            torsion[j] = tuple(grp.get("torsion", ()))
-        return cls.from_ranks(top, ranks, torsion)
-
 
 class Family(str, Enum):
     """The two orbit-space cohomology rings that can occur: the projective
@@ -350,10 +323,11 @@ class OrbitModel(Record):
     the cup-with-t maps the Gysin sequence needs.
 
     ``cup_t[j]`` is the matrix of -cup t: H^j -> H^{j+2} (rows = rank of
-    the target); degrees without a stored matrix are zero maps.
+    the target); degrees without a stored matrix are zero maps.  The Euler
+    class t generates H^2, so ``cup_t[0]`` must be [[1]] or [[-1]].
     """
 
-    __slots__ = ("n", "family", "r", "cohomology", "cup_t", "euler_primitive")
+    __slots__ = ("n", "family", "r", "cohomology", "cup_t")
 
     def __init__(
         self,
@@ -362,14 +336,12 @@ class OrbitModel(Record):
         r: int,
         cohomology: GradedGroup,
         cup_t: dict[int, IntMatrix],
-        euler_primitive: bool = True,
     ) -> None:
         _set(self, "n", _exact(n, int, "n"))
         _set(self, "family", Family(family))
         _set(self, "r", _exact(r, int, "r"))
         _set(self, "cohomology", cohomology)
         _set(self, "cup_t", cup_t)
-        _set(self, "euler_primitive", _exact(euler_primitive, bool, "euler_primitive"))
         if n < 5 or n % 2 == 0:
             raise ValueError("dimension out of scope")
         if r < 0:
@@ -390,7 +362,7 @@ class OrbitModel(Record):
                 raise ValueError(f"cup map at degree {j} outside 0..{2 * n - 2}")
             if mat.cols != ranks[j] or mat.rows != ranks[j + 2]:
                 raise ValueError(f"cup map at degree {j} has wrong shape")
-        if euler_primitive and self.cup_map(0).entries not in (((1,),), ((-1,),)):
+        if self.cup_map(0).entries not in (((1,),), ((-1,),)):
             raise ValueError("a primitive Euler class needs cup_t[0] = [[1]] or [[-1]]")
 
     def cup_map(self, j: int) -> IntMatrix:
@@ -405,26 +377,9 @@ class OrbitModel(Record):
             "n": self.n,
             "family": self.family.value,
             "r": self.r,
-            "euler_primitive": self.euler_primitive,
             "cohomology": self.cohomology.to_json_dict(),
             "cup_t": {str(j): m.to_lists() for j, m in sorted(self.cup_t.items())},
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "OrbitModel":
-        coh = GradedGroup.from_json_dict(data["cohomology"])
-        cup: dict[int, IntMatrix] = {}
-        for key, rows in data.get("cup_t", {}).items():
-            j = _degree(key)
-            cup[j] = IntMatrix.from_rows([list(r) for r in rows], cols=coh.rank(j))
-        return cls(
-            n=data["n"],
-            family=Family(data["family"]),
-            r=data["r"],
-            cohomology=coh,
-            cup_t=cup,
-            euler_primitive=data.get("euler_primitive", True),
-        )
 
 
 def standard_orbit_model(n: int, family: Family | str, r: int) -> OrbitModel:
@@ -452,9 +407,7 @@ def standard_orbit_model(n: int, family: Family | str, r: int) -> OrbitModel:
     if family is Family.CPHALF_TIMES_SPHERE:
         del cup[n - 1]
     cohomology = GradedGroup(2 * n, tuple(ranks), ((),) * (2 * n + 1))
-    return OrbitModel(
-        n=n, family=family, r=r, cohomology=cohomology, cup_t=cup, euler_primitive=True
-    )
+    return OrbitModel(n=n, family=family, r=r, cohomology=cohomology, cup_t=cup)
 
 
 def gysin_total_space(model: OrbitModel) -> GradedGroup:
@@ -465,8 +418,6 @@ def gysin_total_space(model: OrbitModel) -> GradedGroup:
     check and its image rank (the unit maps of a standard model are one
     shared matrix); a degree without a stored map is the zero map.
     """
-    if not model.euler_primitive:
-        raise ValueError("Euler class must generate H^2")
     top = 2 * model.n
     image = [0] * (top + 1)  # rank of the image of t on H^j
     cokernels: dict[IntMatrix, tuple[int, tuple[int, ...]]] = {}
@@ -500,7 +451,7 @@ def check_highly_connected(h: GradedGroup, n: int) -> bool:
     """True iff H^j = 0 for 1 <= j <= n-1 and H^n, H^{n+1} are torsion
     free (the cohomological shape of an (n-1)-connected (2n+1)-manifold
     with torsion-free homology)."""
-    for j in range(1, n):
+    for j in range(1, _exact(n, int, "n")):
         if not h.is_trivial_at(j):
             return False
     return not h.torsion_at(n) and not h.torsion_at(n + 1)

@@ -105,8 +105,10 @@ def _check_closed_form_im_j() -> None:
 
 
 def _check_odd_half_relation() -> None:
+    # the closed form against den(2 B_k / 4k) from the tangent-number table
     for k in range(1, 400, 2):
-        assert 2 * bernoulli.odd_half_denominator(k) == bernoulli.im_j_order(k)
+        b = bernoulli.bernoulli_ms(k)
+        assert bernoulli.odd_half_denominator(k) == (2 * b / (4 * k)).denominator, k
 
 
 def _check_j_index_divisible_by_24() -> None:

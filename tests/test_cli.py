@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -196,6 +197,29 @@ def test_recipe_refuses_non_admitting(capsys):
     error = json.loads(err)
     assert error["reason"] == "ODD_NOT_DIVISIBLE"
     assert error["admits"] is False
+
+
+# README lines whose comment is their exact stdout
+_README_OUTPUTS = {("imj", "--k", "2"), ("ahat", "--k", "2", "--format", "json")}
+
+
+def test_readme_cli_examples_run(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    compared = set()
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        assert argv[0] == "circleact", line
+        argv = tuple(argv[1:])
+        if argv[0] == "selftest":  # tests/test_selftest.py runs each check
+            continue
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == "", line
+        if argv in _README_OUTPUTS:
+            assert out == comment.strip() + "\n", line
+            compared.add(argv)
+    assert compared == _README_OUTPUTS
 
 
 def test_selftest_subset(capsys):

@@ -75,7 +75,7 @@ SAMPLES = {
         "OrbitModel(n=5, family=<Family.CPN: 'CPN'>, r=0, cohomology=GradedGroup("
         "top_degree=10, ranks=(1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1), torsion=((), (), (), (), (), "
         f"(), (), (), (), (), ())), cup_t={{0: {_UNIT}, 2: {_UNIT}, 4: {_UNIT}, 6: {_UNIT}, "
-        f"8: {_UNIT}}}, euler_primitive=True)",
+        f"8: {_UNIT}}})",
     ),
     "Partition": (lambda: Partition((2, 1)), "Partition(parts=(2, 1))"),
     "SelfTestReport": (
