@@ -54,14 +54,12 @@ class BernoulliTable:
     any number of concurrent readers is safe.
     """
 
-    def __init__(self, max_index: int = 0) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._rows: list[tuple[int, Fraction, int, int]] = []  # row k at index k - 1
         # Brent-Harvey's recurrence on column K = max_index: entry j is T_K
         # after pass j + 1; the last entry is T_K itself
         self._column: list[int] = []
-        if max_index > 0:
-            self.value(max_index)
 
     @property
     def max_index(self) -> int:

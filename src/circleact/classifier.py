@@ -18,7 +18,6 @@ back into the input invariants.
 
 from __future__ import annotations
 
-import warnings
 from enum import Enum
 from math import factorial
 
@@ -302,12 +301,8 @@ def classify(inv: ManifoldInvariants) -> ClassificationResult:
         )
 
     if inv.n % 8 == 5:
+        # the middle Pontrjagin index (n+1)/4 is not an integer there
         if inv.l not in (None, 0):
-            warnings.warn(
-                "l is ignored for n = 5 (mod 8): the middle Pontrjagin index "
-                "(n+1)/4 is not an integer there",
-                stacklevel=2,
-            )
             notes.append("l ignored for n = 5 (mod 8)")
         return ClassificationResult(
             reason=ReasonCode.N5_ALWAYS,

@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-import warnings
 
 from . import __version__
 from .bernoulli import im_j_order, table_rows
@@ -219,10 +218,8 @@ def main(argv: list[str] | None = None) -> int:
     and a reader that closes stdout early gets exit 1 with no message).
 
     The interpreter's int<->str digit limit is lifted while ``main`` runs,
-    so numeric flags and outputs of any length convert exactly.  The
-    library's n = 5 (mod 8) "l is ignored" warning is silenced here: the
-    output already says so in its notes, and stderr carries only
-    machine-readable errors.
+    so numeric flags and outputs of any length convert exactly.  stderr
+    carries only machine-readable errors.
     """
     # Python < 3.10.7 has neither the limit nor its setter
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
@@ -230,9 +227,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "l is ignored", UserWarning)
-            code = args.run(args, sys.stdout)
+        code = args.run(args, sys.stdout)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code
     except BrokenPipeError:

@@ -93,23 +93,26 @@ class Partition(Record):
         return ",".join(str(p) for p in self.parts)
 
 
-class PontrjaginPolynomial:
+class PontrjaginPolynomial(Record):
     """Homogeneous weight-k rational polynomial in p_1..p_k, keyed by
-    partitions of k.  Zero coefficients are never stored."""
+    partitions of k.  Zero coefficients are never stored, and ``terms``
+    returns a fresh dict, so the stored one never changes."""
+
+    __slots__ = ("degree", "_terms")
 
     def __init__(self, degree: int, terms: dict[Partition, Fraction]) -> None:
-        if degree < 1:
+        if _exact(degree, int, "degree") < 1:
             raise ValueError("degree starts at 1")
         for part in terms:
             if part.weight != degree:
                 raise ValueError(f"term {part} has weight {part.weight}, expected {degree}")
-        self.degree = degree
+        _set(self, "degree", degree)
         # lexicographic on decreasing part lists, largest first: deterministic output
-        self._terms = {
+        _set(self, "_terms", {
             part: c if type(c) is Fraction else Fraction(c)
             for part, c in sorted(terms.items(), key=lambda kv: kv[0].parts, reverse=True)
             if c != 0
-        }
+        })
 
     @property
     def terms(self) -> dict[Partition, Fraction]:
@@ -128,11 +131,6 @@ class PontrjaginPolynomial:
             "terms": {str(part): str(c) for part, c in self._terms.items()},
         }
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PontrjaginPolynomial):
-            return NotImplemented
-        return self.degree == other.degree and self._terms == other._terms
-
     def __str__(self) -> str:
         if not self._terms:
             return "0"
@@ -148,7 +146,7 @@ class PontrjaginPolynomial:
         return " + ".join(monos)
 
     def __repr__(self) -> str:
-        return f"PontrjaginPolynomial(degree={self.degree}, terms={self._terms!r})"
+        return f"{type(self).__qualname__}(degree={self.degree}, terms={self._terms!r})"
 
 
 def ahat_char_coeff(m: int) -> Fraction:

@@ -1,6 +1,7 @@
 """Integer linear algebra and graded models of circle-bundle orbit spaces.
 
-A model stores, per degree, the free rank and torsion coefficients of the
+The manifolds in scope have torsion-free homology, so a graded group is
+its free ranks, one per degree.  A model stores the ranks of the
 orbit-space cohomology together with the integer matrices of cup product
 with the Euler class t (one map H^j -> H^{j+2} per degree).  That is all
 the Gysin sequence consumes: the total-space cohomology is assembled
@@ -16,9 +17,9 @@ a model producing torsion errors out rather than guessing the extension.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import chain
 from math import gcd, isqrt
 from operator import add, mul, sub
+from types import MappingProxyType
 
 from ._record import Record, _exact, _set
 
@@ -64,10 +65,6 @@ class IntMatrix(Record):
     @classmethod
     def from_rows(cls, rows: list[list[int]]) -> "IntMatrix":
         return cls(len(rows), len(rows[0]) if rows else 0, tuple(tuple(r) for r in rows))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
@@ -236,76 +233,47 @@ def cokernel(mat: IntMatrix) -> tuple[int, tuple[int, ...]]:
 
 
 class GradedGroup(Record):
-    """Finitely generated graded abelian group: free rank and torsion
-    coefficients per degree 0..top_degree; degrees outside the range are
-    trivial."""
+    """Finitely generated free graded abelian group: its rank in each degree
+    0..top_degree; degrees outside the range are trivial."""
 
-    __slots__ = ("top_degree", "ranks", "torsion")
+    __slots__ = ("ranks",)
 
-    def __init__(
-        self,
-        top_degree: int,
-        ranks: tuple[int, ...],
-        torsion: tuple[tuple[int, ...], ...],
-    ) -> None:
-        _exact(top_degree, int, "top_degree")
-        # one built-in pass over the types; the loops only name the degree
+    def __init__(self, ranks: tuple[int, ...]) -> None:
+        # one built-in pass over the types; the loop only names the degree
         ranks = tuple(ranks)
         if not set(map(type, ranks)) <= {int}:
             for j, r in enumerate(ranks):
                 _exact(r, int, "rank at degree {}", j)
-        torsion = tuple(map(tuple, torsion))
-        # both torsion passes are vacuous for a torsion-free group
-        has_torsion = any(torsion)
-        if has_torsion and not set(map(type, chain.from_iterable(torsion))) <= {int}:
-            for j, t in enumerate(torsion):
-                for c in t:
-                    _exact(c, int, "torsion coefficient at degree {}", j)
-        _set(self, "top_degree", top_degree)
         _set(self, "ranks", ranks)
-        _set(self, "torsion", torsion)
-        if top_degree < 0:
+        if not ranks:
             raise ValueError("top degree must be nonnegative")
-        if len(ranks) != top_degree + 1 or len(torsion) != top_degree + 1:
-            raise ValueError("need one rank and one torsion list per degree")
-        if min(ranks, default=0) < 0:
+        if min(ranks) < 0:
             raise ValueError("ranks must be nonnegative")
-        if has_torsion and min(chain.from_iterable(torsion)) < 2:
-            raise ValueError("torsion coefficients must be >= 2")
 
     @classmethod
-    def from_ranks(
-        cls,
-        top_degree: int,
-        ranks: dict[int, int],
-        torsion: dict[int, tuple[int, ...]] | None = None,
-    ) -> "GradedGroup":
-        torsion = torsion or {}
-        for j in ranks.keys() | torsion.keys():
-            if not 0 <= j <= top_degree:
+    def from_ranks(cls, top_degree: int, ranks: dict[int, int]) -> "GradedGroup":
+        _exact(top_degree, int, "top_degree")
+        for j in ranks:
+            if not 0 <= _exact(j, int, "degree") <= top_degree:
                 raise ValueError(f"degree {j} outside 0..{top_degree}")
-        return cls(
-            top_degree,
-            tuple(ranks.get(j, 0) for j in range(top_degree + 1)),
-            tuple(tuple(torsion.get(j, ())) for j in range(top_degree + 1)),
-        )
+        return cls(tuple(ranks.get(j, 0) for j in range(top_degree + 1)))
+
+    @property
+    def top_degree(self) -> int:
+        return len(self.ranks) - 1
+
+    @property
+    def torsion(self) -> tuple[tuple[int, ...], ...]:
+        """The torsion coefficients of each degree: none."""
+        return ((),) * len(self.ranks)
 
     def rank(self, j: int) -> int:
-        return self.ranks[j] if 0 <= j <= self.top_degree else 0
-
-    def torsion_at(self, j: int) -> tuple[int, ...]:
-        return self.torsion[j] if 0 <= j <= self.top_degree else ()
-
-    def is_trivial_at(self, j: int) -> bool:
-        return self.rank(j) == 0 and not self.torsion_at(j)
+        return self.ranks[j] if 0 <= j < len(self.ranks) else 0
 
     def to_json_dict(self) -> dict:
         return {
             "top_degree": self.top_degree,
-            "groups": {
-                str(j): {"rank": self.ranks[j], "torsion": list(self.torsion[j])}
-                for j in range(self.top_degree + 1)
-            },
+            "groups": {str(j): {"rank": r, "torsion": []} for j, r in enumerate(self.ranks)},
         }
 
 
@@ -324,7 +292,9 @@ class OrbitModel(Record):
 
     ``cup_t[j]`` is the matrix of -cup t: H^j -> H^{j+2} (rows = rank of
     the target); degrees without a stored matrix are zero maps.  The Euler
-    class t generates H^2, so ``cup_t[0]`` must be [[1]] or [[-1]].
+    class t generates H^2, so ``cup_t[0]`` must be [[1]] or [[-1]].  The
+    model keeps a read-only copy of ``cup_t``, so the checks hold for its
+    lifetime.
     """
 
     __slots__ = ("n", "family", "r", "cohomology", "cup_t")
@@ -341,15 +311,13 @@ class OrbitModel(Record):
         _set(self, "family", Family(family))
         _set(self, "r", _exact(r, int, "r"))
         _set(self, "cohomology", cohomology)
-        _set(self, "cup_t", cup_t)
+        _set(self, "cup_t", MappingProxyType(dict(cup_t)))
         if n < 5 or n % 2 == 0:
             raise ValueError("dimension out of scope")
         if r < 0:
             raise ValueError("handle count must be nonnegative")
         if cohomology.top_degree != 2 * n:
             raise ValueError("cohomology must live in degrees 0..2n")
-        if any(cohomology.torsion):
-            raise ValueError("orbit-space cohomology must be torsion free")
         ranks = cohomology.ranks
         if ranks[:3] != (1, 0, 1):
             raise ValueError("H^0 = Z, H^1 = 0, H^2 = Z are required")
@@ -357,20 +325,18 @@ class OrbitModel(Record):
             raise ValueError("middle rank must be even")
         if ranks != ranks[::-1]:
             raise ValueError("ranks must satisfy Poincare duality")
-        for j, mat in cup_t.items():
+        for j, mat in self.cup_t.items():
             if not 0 <= j <= 2 * n - 2:
                 raise ValueError(f"cup map at degree {j} outside 0..{2 * n - 2}")
             if mat.cols != ranks[j] or mat.rows != ranks[j + 2]:
                 raise ValueError(f"cup map at degree {j} has wrong shape")
-        if self.cup_map(0).entries not in (((1,),), ((-1,),)):
+        unit = self.cup_t.get(0)  # None is the zero map
+        if unit is None or unit.entries not in (((1,),), ((-1,),)):
             raise ValueError("a primitive Euler class needs cup_t[0] = [[1]] or [[-1]]")
 
-    def cup_map(self, j: int) -> IntMatrix:
-        """Matrix of -cup t: H^j -> H^{j+2}; zero map when not stored."""
-        mat = self.cup_t.get(j)
-        if mat is None:
-            mat = IntMatrix.zeros(self.cohomology.rank(j + 2), self.cohomology.rank(j))
-        return mat
+    def __reduce__(self):
+        # a mapping proxy does not pickle; the constructor copies the dict again
+        return type(self), (self.n, self.family, self.r, self.cohomology, dict(self.cup_t))
 
     def to_json_dict(self) -> dict:
         return {
@@ -406,7 +372,7 @@ def standard_orbit_model(n: int, family: Family | str, r: int) -> OrbitModel:
     cup = dict.fromkeys(range(0, 2 * n - 1, 2), unit)
     if family is Family.CPHALF_TIMES_SPHERE:
         del cup[n - 1]
-    cohomology = GradedGroup(2 * n, tuple(ranks), ((),) * (2 * n + 1))
+    cohomology = GradedGroup(ranks)
     return OrbitModel(n=n, family=family, r=r, cohomology=cohomology, cup_t=cup)
 
 
@@ -444,17 +410,13 @@ def gysin_total_space(model: OrbitModel) -> GradedGroup:
             map(add, [0, 0] + image[:-1], [0] + image),
         )
     )
-    return GradedGroup(top + 1, ranks, ((),) * (top + 2))
+    return GradedGroup(ranks)
 
 
 def check_highly_connected(h: GradedGroup, n: int) -> bool:
-    """True iff H^j = 0 for 1 <= j <= n-1 and H^n, H^{n+1} are torsion
-    free (the cohomological shape of an (n-1)-connected (2n+1)-manifold
-    with torsion-free homology)."""
-    for j in range(1, _exact(n, int, "n")):
-        if not h.is_trivial_at(j):
-            return False
-    return not h.torsion_at(n) and not h.torsion_at(n + 1)
+    """True iff H^j = 0 for 1 <= j <= n-1 (the cohomological shape of an
+    (n-1)-connected (2n+1)-manifold with torsion-free homology)."""
+    return not any(map(h.rank, range(1, _exact(n, int, "n"))))
 
 
 def divisibility_transfer(model: OrbitModel, d: int) -> int:
@@ -471,7 +433,11 @@ def divisibility_transfer(model: OrbitModel, d: int) -> int:
         raise ValueError("transfer defined only for n = 7 (mod 8)")
     if _exact(d, int, "d") < 0:
         raise ValueError("divisibility must be nonnegative")
-    mat = model.cup_map(model.n - 1)
+    mat = model.cup_t.get(model.n - 1)
+    if mat is None:
+        # the zero map H^{n-1} -> H^{n+1}, an isomorphism only between zero
+        # groups (duality makes the two ranks equal)
+        return 0 if model.cohomology.rank(model.n - 1) == 0 else d
     if mat.rows == mat.cols and cokernel(mat) == (0, ()):
         return 0
     if mat.is_zero():

@@ -189,7 +189,8 @@ def test_odd_half_relation_guard_fires(monkeypatch):
 
 
 def test_table_extends_on_demand():
-    table = BernoulliTable(3)
+    table = BernoulliTable()
+    assert table.value(3) == bernoulli_ms(3)
     assert table.max_index >= 3
     assert table.value(10) == bernoulli_ms(10)
     assert table.max_index >= 10

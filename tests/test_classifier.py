@@ -1,4 +1,5 @@
 import json
+import warnings
 from math import factorial
 
 import pytest
@@ -182,6 +183,15 @@ def test_invariants_keep_int_and_none():
 
 def test_classify_ignores_l_for_n5():
     selftest._check_l_ignored_for_n5()
+
+
+def test_classify_says_l_is_ignored_in_its_notes_without_warning():
+    # the notes carry the n = 5 (mod 8) message; no warning is raised
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = classify(ManifoldInvariants(13, 3, 7))
+    assert result.reason is ReasonCode.N5_ALWAYS
+    assert result.notes == ("l ignored for n = 5 (mod 8)",)
 
 
 @pytest.mark.parametrize("n", [7, 15])

@@ -164,6 +164,20 @@ def test_polynomial_degree_starts_at_one():
         PontrjaginPolynomial(0, {})
 
 
+def test_polynomial_degree_is_an_exact_int_that_cannot_be_reassigned():
+    # PontrjaginPolynomial(2.0, {}) constructed, and degree could be set
+    for bad in (2.0, True, "2"):
+        with pytest.raises(ValueError, match=f"^degree must be of type int, got {bad!r}$"):
+            PontrjaginPolynomial(bad, {})
+    poly = multiplicative_sequence(2)
+    with pytest.raises(AttributeError):
+        poly.degree = 9
+    with pytest.raises(AttributeError):
+        poly._terms = {}
+    poly.terms[Partition((2,))] = Fraction(1)  # a fresh dict: the polynomial stays
+    assert poly == multiplicative_sequence(2) and poly.degree == 2
+
+
 def test_polynomial_rejects_wrong_weight():
     with pytest.raises(ValueError):
         PontrjaginPolynomial(3, {Partition((2,)): Fraction(1)})

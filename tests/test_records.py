@@ -15,7 +15,7 @@ from circleact.classifier import (
     classify,
     required_divisor,
 )
-from circleact.genus import Partition
+from circleact.genus import Partition, PontrjaginPolynomial, multiplicative_sequence
 from circleact.gradedtop import (
     Family,
     GradedGroup,
@@ -67,25 +67,29 @@ SAMPLES = {
     ),
     "SNFResult": (lambda: SNFResult((1, 2)), "SNFResult(invariant_factors=(1, 2))"),
     "GradedGroup": (
-        lambda: GradedGroup(2, (1, 0, 1), ((), (), ())),
-        "GradedGroup(top_degree=2, ranks=(1, 0, 1), torsion=((), (), ()))",
+        lambda: GradedGroup((1, 0, 1)),
+        "GradedGroup(ranks=(1, 0, 1))",
     ),
     "OrbitModel": (
         lambda: standard_orbit_model(5, Family.CPN, 0),
         "OrbitModel(n=5, family=<Family.CPN: 'CPN'>, r=0, cohomology=GradedGroup("
-        "top_degree=10, ranks=(1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1), torsion=((), (), (), (), (), "
-        f"(), (), (), (), (), ())), cup_t={{0: {_UNIT}, 2: {_UNIT}, 4: {_UNIT}, 6: {_UNIT}, "
-        f"8: {_UNIT}}})",
+        "ranks=(1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1)), cup_t=mappingproxy("
+        f"{{0: {_UNIT}, 2: {_UNIT}, 4: {_UNIT}, 6: {_UNIT}, 8: {_UNIT}}}))",
     ),
     "Partition": (lambda: Partition((2, 1)), "Partition(parts=(2, 1))"),
+    "PontrjaginPolynomial": (
+        lambda: multiplicative_sequence(2),
+        "PontrjaginPolynomial(degree=2, terms={Partition(parts=(2,)): Fraction(-1, 1440), "
+        "Partition(parts=(1, 1)): Fraction(7, 5760)})",
+    ),
     "SelfTestReport": (
         lambda: SelfTestReport(3, [("x", "AssertionError: y")]),
         "SelfTestReport(passed=3, failures=[('x', 'AssertionError: y')])",
     ),
 }
 
-# a field holds a dict or a list, as at the dataclass records
-UNHASHABLE = {OrbitModel, SelfTestReport}
+# a field holds a dict, a mapping proxy or a list
+UNHASHABLE = {OrbitModel, PontrjaginPolynomial, SelfTestReport}
 
 sample = pytest.mark.parametrize("make", [m for m, _ in SAMPLES.values()], ids=list(SAMPLES))
 
