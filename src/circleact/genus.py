@@ -22,9 +22,10 @@ The recurrence runs on integers, as the Bernoulli table does: each K_w is
 integer numerators over one denominator D_w, and a coefficient becomes a
 ``Fraction`` only when the polynomial is returned.
 
-``alpha(k)``, the coefficient of p_k, is the closed form -B_k / (2 (2k)!);
-its agreement with the full polynomial and with a Bernoulli-free oracle is
-a ``selftest`` check, not a cost paid on every call.
+``alpha(k)``, the coefficient of p_k, is -B_k / (2 (2k)!), read from the
+memoized m c_m of the recurrence; its agreement with the full polynomial
+and with a Bernoulli-free oracle is a ``selftest`` check, not a cost paid
+on every call.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from ._record import Record, _exact, _set
 from .bernoulli import bernoulli_ms, im_j_order
 
 __all__ = [
-    "Partition",
     "PontrjaginPolynomial",
     "ahat_char_coeff",
     "multiplicative_sequence",
@@ -48,79 +48,50 @@ __all__ = [
 ]
 
 
-class Partition(Record):
-    """Weakly decreasing tuple of positive integers, indexing a monomial
-    p_{i1} ... p_{im} of weight i1 + ... + im.  Partitions compare as
-    their part tuples; they are the dict keys of every polynomial, so
-    equality and hash read ``parts`` directly."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, parts: tuple[int, ...]) -> None:
-        parts = tuple(parts)
-        if not set(map(type, parts)) <= {int}:
-            for i, p in enumerate(parts):
-                _exact(p, int, "partition part {}", i)
-        _set(self, "parts", parts)
-        if min(parts, default=1) < 1:
-            raise ValueError("partition parts must be positive")
-        if any(map(lt, parts, parts[1:])):
-            raise ValueError("partition parts must be weakly decreasing")
-
-    def __eq__(self, other: object) -> bool:
-        return self.parts == other.parts if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.parts)
-
-    def __lt__(self, other: object) -> bool:
-        return self.parts < other.parts if other.__class__ is self.__class__ else NotImplemented
-
-    def __le__(self, other: object) -> bool:
-        return self.parts <= other.parts if other.__class__ is self.__class__ else NotImplemented
-
-    def __gt__(self, other: object) -> bool:
-        return self.parts > other.parts if other.__class__ is self.__class__ else NotImplemented
-
-    def __ge__(self, other: object) -> bool:
-        return self.parts >= other.parts if other.__class__ is self.__class__ else NotImplemented
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    def __str__(self) -> str:
-        return ",".join(str(p) for p in self.parts)
+def _checked_parts(parts) -> tuple[int, ...]:
+    """``parts`` as the tuple keying the monomial p_{i1} ... p_{im}: exact
+    positive ints, weakly decreasing."""
+    parts = tuple(parts)
+    if not set(map(type, parts)) <= {int}:
+        for i, p in enumerate(parts):
+            _exact(p, int, "partition part {}", i)
+    if min(parts, default=1) < 1:
+        raise ValueError("partition parts must be positive")
+    if any(map(lt, parts, parts[1:])):
+        raise ValueError("partition parts must be weakly decreasing")
+    return parts
 
 
 class PontrjaginPolynomial(Record):
     """Homogeneous weight-k rational polynomial in p_1..p_k, keyed by
-    partitions of k.  Zero coefficients are never stored, and ``terms``
-    returns a fresh dict, so the stored one never changes."""
+    partitions of k as weakly decreasing part tuples.  Zero coefficients
+    are never stored, and ``terms`` returns a fresh dict, so the stored one
+    never changes."""
 
     __slots__ = ("degree", "_terms")
 
-    def __init__(self, degree: int, terms: dict[Partition, Fraction]) -> None:
+    def __init__(self, degree: int, terms: dict[tuple[int, ...], Fraction]) -> None:
         if _exact(degree, int, "degree") < 1:
             raise ValueError("degree starts at 1")
-        for part in terms:
-            if part.weight != degree:
-                raise ValueError(f"term {part} has weight {part.weight}, expected {degree}")
+        checked = {}
+        for parts, c in terms.items():
+            parts = _checked_parts(parts)
+            if sum(parts) != degree:
+                raise ValueError(
+                    f"term {','.join(map(str, parts))} has weight {sum(parts)}, expected {degree}"
+                )
+            if c != 0:
+                checked[parts] = c if type(c) is Fraction else Fraction(c)
         _set(self, "degree", degree)
-        # lexicographic on decreasing part lists, largest first: deterministic output
-        _set(self, "_terms", {
-            part: c if type(c) is Fraction else Fraction(c)
-            for part, c in sorted(terms.items(), key=lambda kv: kv[0].parts, reverse=True)
-            if c != 0
-        })
+        # lexicographic on decreasing part tuples, largest first: deterministic output
+        _set(self, "_terms", dict(sorted(checked.items(), reverse=True)))
 
     @property
-    def terms(self) -> dict[Partition, Fraction]:
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
         return dict(self._terms)
 
-    def coefficient(self, parts: Partition | tuple[int, ...]) -> Fraction:
-        key = parts if isinstance(parts, Partition) else Partition(tuple(parts))
-        return self._terms.get(key, Fraction(0))
+    def coefficient(self, parts: tuple[int, ...]) -> Fraction:
+        return self._terms.get(_checked_parts(parts), Fraction(0))
 
     def items(self):
         return self._terms.items()
@@ -128,16 +99,16 @@ class PontrjaginPolynomial(Record):
     def to_json_dict(self) -> dict:
         return {
             "k": self.degree,
-            "terms": {str(part): str(c) for part, c in self._terms.items()},
+            "terms": {",".join(map(str, parts)): str(c) for parts, c in self._terms.items()},
         }
 
     def __str__(self) -> str:
         if not self._terms:
             return "0"
         monos = []
-        for part, c in self._terms.items():
+        for parts, c in self._terms.items():
             counts: dict[int, int] = {}
-            for p in part.parts:
+            for p in parts:
                 counts[p] = counts.get(p, 0) + 1
             factors = [
                 f"p{i}" if e == 1 else f"p{i}^{e}" for i, e in sorted(counts.items(), reverse=True)
@@ -224,16 +195,16 @@ def multiplicative_sequence(k: int) -> PontrjaginPolynomial:
     if _exact(k, int, "k") < 1:
         raise ValueError("degree starts at 1")
     numerators, den = _sequence_part(k)
-    return PontrjaginPolynomial(
-        k, {Partition(parts): Fraction(c, den) for parts, c in numerators.items()}
-    )
+    return PontrjaginPolynomial(k, {parts: Fraction(c, den) for parts, c in numerators.items()})
 
 
 def alpha(k: int) -> Fraction:
-    """Coefficient of p_k in the degree-k polynomial: -B_k / (2 (2k)!)."""
-    if k < 1:
+    """Coefficient of p_k in the degree-k polynomial: -B_k / (2 (2k)!),
+    which is (-1)^{k+1} times the memoized m c_m at m = k."""
+    # checked before the cache: True == 1 would hit the entry of k = 1
+    if _exact(k, int, "k") < 1:
         raise ValueError("degree starts at 1")
-    return -bernoulli_ms(k) / (2 * factorial(2 * k))
+    return (-1) ** (k + 1) * _log_scalar(k)
 
 
 def twisted_pairing(k: int, d: int) -> Fraction:

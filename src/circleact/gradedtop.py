@@ -89,7 +89,8 @@ class SNFResult(Record):
 
 def smith_normal_form(mat: IntMatrix) -> SNFResult:
     """Invariant factors by unimodular row/column operations, pivoting on
-    the smallest nonzero entry, with coefficient growth bounded.
+    the smallest nonzero entry; a pivot above the Hadamard bound of the
+    input switches the elimination to arithmetic modulo 2|M|.
 
     Each round selects the smallest nonzero entry of the remaining block
     and makes one Euclid pass on its row and column.  A nonzero remainder
@@ -310,7 +311,7 @@ class OrbitModel(Record):
         _set(self, "n", _exact(n, int, "n"))
         _set(self, "family", Family(family))
         _set(self, "r", _exact(r, int, "r"))
-        _set(self, "cohomology", cohomology)
+        _set(self, "cohomology", _exact(cohomology, GradedGroup, "cohomology"))
         _set(self, "cup_t", MappingProxyType(dict(cup_t)))
         if n < 5 or n % 2 == 0:
             raise ValueError("dimension out of scope")
@@ -326,8 +327,14 @@ class OrbitModel(Record):
         if ranks != ranks[::-1]:
             raise ValueError("ranks must satisfy Poincare duality")
         for j, mat in self.cup_t.items():
+            # type tests inline, _exact only for its message: a call per
+            # degree would slow the build of every model
+            if type(j) is not int:
+                _exact(j, int, "cup_t key")
             if not 0 <= j <= 2 * n - 2:
                 raise ValueError(f"cup map at degree {j} outside 0..{2 * n - 2}")
+            if type(mat) is not IntMatrix:
+                _exact(mat, IntMatrix, "cup map at degree {}", j)
             if mat.cols != ranks[j] or mat.rows != ranks[j + 2]:
                 raise ValueError(f"cup map at degree {j} has wrong shape")
         unit = self.cup_t.get(0)  # None is the zero map

@@ -183,9 +183,7 @@ def _check_multiplicativity() -> None:
     order = 6
     table = {(): Fraction(1)}
     for w in range(1, order + 1):
-        table.update(
-            (part.parts, c) for part, c in genus.multiplicative_sequence(w).items()
-        )
+        table.update(genus.multiplicative_sequence(w).items())
 
     product: dict[tuple, Fraction] = {}
     for pl, cl in table.items():

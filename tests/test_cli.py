@@ -425,6 +425,23 @@ def test_bernoulli_table_output_is_pinned(capsys, fmt, digest):
     assert h.hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "fmt, digest",
+    [
+        ("text", "294e8dc3542d9741daeadcf2e65fd0ef7f05d7d7fb14c7197c5259f134b110d5"),
+        ("json", "f8782344adcc9365d896acfcba2fd793aab9558a22867ba2952cdd334d92747e"),
+    ],
+)
+def test_ahat_output_is_pinned(capsys, fmt, digest):
+    # SHA-256 of repr((K, exit code, stdout, stderr)) of `ahat --k K` for
+    # K = 1..12, recorded while polynomial keys were Partition records
+    h = hashlib.sha256()
+    for k in range(1, 13):
+        code, out, err = run(capsys, "ahat", "--k", str(k), "--format", fmt)
+        h.update(repr((k, code, out, err)).encode())
+    assert h.hexdigest() == digest
+
+
 # every gysin argv of odd n = 5..63, each family spelling (CPHALF the alias),
 # r = 0..4 and both formats, then classify and recipe of n = 13 with an
 # ignored l

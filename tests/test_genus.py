@@ -7,7 +7,6 @@ import pytest
 import circleact.bernoulli as bernoulli
 import circleact.genus as genus
 from circleact.genus import (
-    Partition,
     PontrjaginPolynomial,
     ahat_char_coeff,
     alpha,
@@ -25,16 +24,24 @@ from circleact.selftest import (
 
 
 def test_partition_basics():
-    p = Partition((2, 1, 1))
-    assert p.weight == 4
-    assert str(p) == "2,1,1"
+    # a monomial is keyed by its part tuple, and terms are ordered by that
+    # tuple, largest first
+    poly = PontrjaginPolynomial(4, {(1, 1, 1, 1): 3, (2, 1, 1): Fraction(1, 2), (4,): 0, (3, 1): 5})
+    assert poly.terms == {(3, 1): 5, (2, 1, 1): Fraction(1, 2), (1, 1, 1, 1): 3}
+    assert list(poly.terms) == [(3, 1), (2, 1, 1), (1, 1, 1, 1)]
+    assert all(type(c) is Fraction for c in poly.terms.values())
+    assert poly.to_json_dict() == {"k": 4, "terms": {"3,1": "5", "2,1,1": "1/2", "1,1,1,1": "3"}}
+    assert str(poly) == "(5)*p3*p1 + (1/2)*p2*p1^2 + (3)*p1^4"
+    assert poly.coefficient((2, 1, 1)) == poly.coefficient([2, 1, 1]) == Fraction(1, 2)
+    assert poly.coefficient((4,)) == 0
 
 
 def test_partition_validation():
-    with pytest.raises(ValueError):
-        Partition((1, 2))
-    with pytest.raises(ValueError):
-        Partition((2, 0))
+    for bad, message in (((1, 2), "weakly decreasing"), ((2, 0), "positive"), ((2, -1, 1), "positive")):
+        with pytest.raises(ValueError, match=f"^partition parts must be {message}$"):
+            PontrjaginPolynomial(2, {bad: Fraction(1)})
+        with pytest.raises(ValueError, match=f"^partition parts must be {message}$"):
+            multiplicative_sequence(2).coefficient(bad)
 
 
 def test_char_coeff_examples():
@@ -61,14 +68,14 @@ def test_char_coeff_rejects_negative():
 
 def test_degree_one_polynomial():
     poly = multiplicative_sequence(1)
-    assert poly.terms == {Partition((1,)): Fraction(-1, 24)}
+    assert poly.terms == {(1,): Fraction(-1, 24)}
 
 
 def test_degree_two_polynomial():
     poly = multiplicative_sequence(2)
     assert poly.terms == {
-        Partition((2,)): Fraction(-1, 1440),
-        Partition((1, 1)): Fraction(7, 5760),
+        (2,): Fraction(-1, 1440),
+        (1, 1): Fraction(7, 5760),
     }
 
 
@@ -153,7 +160,7 @@ def test_p1_power_coefficient_is_series_coefficient():
 def test_polynomial_terms_have_exact_weight():
     for k in range(1, 6):
         poly = multiplicative_sequence(k)
-        assert all(part.weight == k for part in poly.terms)
+        assert all(type(parts) is tuple and sum(parts) == k for parts in poly.terms)
         assert all(c != 0 for c in poly.terms.values())
 
 
@@ -174,13 +181,15 @@ def test_polynomial_degree_is_an_exact_int_that_cannot_be_reassigned():
         poly.degree = 9
     with pytest.raises(AttributeError):
         poly._terms = {}
-    poly.terms[Partition((2,))] = Fraction(1)  # a fresh dict: the polynomial stays
+    poly.terms[(2,)] = Fraction(1)  # a fresh dict: the polynomial stays
     assert poly == multiplicative_sequence(2) and poly.degree == 2
 
 
 def test_polynomial_rejects_wrong_weight():
-    with pytest.raises(ValueError):
-        PontrjaginPolynomial(3, {Partition((2,)): Fraction(1)})
+    with pytest.raises(ValueError, match="^term 2 has weight 2, expected 3$"):
+        PontrjaginPolynomial(3, {(2,): Fraction(1)})
+    with pytest.raises(ValueError, match="^term 2,1 has weight 3, expected 2$"):
+        PontrjaginPolynomial(2, {(1, 1): Fraction(1), (2, 1): Fraction(1)})
 
 
 def test_json_serialization_is_ordered():
@@ -210,7 +219,7 @@ def test_alpha_is_the_closed_form_alone(monkeypatch):
         raise AssertionError("alpha must not build the sequence")
 
     monkeypatch.setattr(genus, "multiplicative_sequence", refuse)
-    for k in range(1, 13):
+    for k in range(1, 41):
         assert alpha(k) == -bernoulli.bernoulli_ms(k) / (2 * factorial(2 * k))
 
 
@@ -229,6 +238,14 @@ def test_series_oracle_uses_no_bernoulli_number(monkeypatch):
 def test_alpha_rejects_zero():
     with pytest.raises(ValueError):
         alpha(0)
+
+
+def test_alpha_argument_is_an_exact_int():
+    # checked before the memo of the log scalar, where True == 1 would be
+    # served the entry of k = 1; "1" was a bare TypeError
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match=f"^k must be of type int, got {bad!r}$"):
+            alpha(bad)
 
 
 def test_alpha_three_way_agreement():
@@ -267,7 +284,7 @@ def test_multiplicativity_check_detects_a_perturbed_coefficient(monkeypatch):
         if k != 4:
             return poly
         terms = poly.terms
-        terms[Partition((2, 1, 1))] += Fraction(1, 10**9)
+        terms[(2, 1, 1)] += Fraction(1, 10**9)
         return PontrjaginPolynomial(k, terms)
 
     monkeypatch.setattr(genus, "multiplicative_sequence", perturbed)
@@ -276,10 +293,14 @@ def test_multiplicativity_check_detects_a_perturbed_coefficient(monkeypatch):
 
 
 def test_partition_parts_must_be_ints():
-    with pytest.raises(ValueError, match=r"^partition part 0 must be of type int, got 2\.5$"):
-        Partition((2.5, 1))
-    with pytest.raises(ValueError, match=r"^partition part 1 must be of type int, got True$"):
-        Partition((2, True))
+    poly = multiplicative_sequence(3)
+    for lookup in (lambda parts: PontrjaginPolynomial(3, {parts: Fraction(1)}), poly.coefficient):
+        with pytest.raises(ValueError, match=r"^partition part 0 must be of type int, got 2\.5$"):
+            lookup((2.5, 1))
+        with pytest.raises(ValueError, match=r"^partition part 1 must be of type int, got True$"):
+            lookup((2, True))
+        with pytest.raises(ValueError, match="^partition part 0 must be of type int, got '3'$"):
+            lookup("3")
 
 
 # The rational recurrence the integer one replaced, kept here as its pin:
@@ -332,9 +353,7 @@ def test_log_scalar_is_the_series_logarithm():
 
 def test_integer_recurrence_equals_the_fraction_recurrence():
     for k in range(1, 17):
-        pinned = PontrjaginPolynomial(
-            k, {Partition(parts): c for parts, c in _fraction_sequence_part(k).items()}
-        )
+        pinned = PontrjaginPolynomial(k, _fraction_sequence_part(k))
         poly = multiplicative_sequence(k)
         assert list(poly.items()) == list(pinned.items())
         assert all(type(c) is Fraction for c in poly.terms.values())

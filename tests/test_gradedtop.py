@@ -378,6 +378,32 @@ def test_model_arguments_must_be_ints():
         OrbitModel(n=7, family=Family.CPN, r=1.0, cohomology=base.cohomology, cup_t=base.cup_t)
 
 
+_UNIT_MAP = IntMatrix.from_rows([[1]])
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("cohomology", (1, 0, 1, 0, 1, 0, 1, 2, 1, 0, 1, 0, 1, 0, 1),
+         r"^cohomology must be of type GradedGroup, got \(1, 0, 1, "),
+        ("cup_t", {0: [[1]]}, r"^cup map at degree 0 must be of type IntMatrix, got \[\[1\]\]$"),
+        ("cup_t", {0: _UNIT_MAP, 4: ((1,),)},
+         r"^cup map at degree 4 must be of type IntMatrix, got \(\(1,\),\)$"),
+        ("cup_t", {"0": _UNIT_MAP}, "^cup_t key must be of type int, got '0'$"),
+        ("cup_t", {0.0: _UNIT_MAP}, r"^cup_t key must be of type int, got 0\.0$"),
+        ("cup_t", {0: _UNIT_MAP, True: _UNIT_MAP}, "^cup_t key must be of type int, got True$"),
+    ],
+)
+def test_model_fields_must_have_their_types(field, value, message):
+    # a ranks tuple died with AttributeError 'top_degree', a nested list with
+    # AttributeError 'cols', and a key "0" or 0.0 with a bare TypeError
+    base = standard_orbit_model(7, Family.CPN, 1)
+    fields = {"n": 7, "family": Family.CPN, "r": 1, "cohomology": base.cohomology,
+              "cup_t": base.cup_t, field: value}
+    with pytest.raises(ValueError, match=message):
+        OrbitModel(**fields)
+
+
 @pytest.mark.parametrize("n", [5, 7, 15])
 def test_gysin_sphere(n):
     model = standard_orbit_model(n, Family.CPN, 0)
