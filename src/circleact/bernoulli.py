@@ -21,10 +21,10 @@ and Adams (On the groups J(X) IV, Topology 5, 1966),
 
     den(B_k / 4k) = 2^{3 + v_2(k)} * prod_{odd prime p, (p-1) | 2k} p^{1 + v_p(k)},
 
-evaluated from the factorisation of k.  So ``classifier.classify`` (and
-``genus.integrality_bound``) never touch the table.  The factorisation
-trial-divides below 2^20 and splits what is left with Pollard-Brent rho
-under a fixed step budget, so every k is answered or refused quickly.
+evaluated from the factorisation of k.  So ``classifier.classify`` never
+touches the table.  The factorisation trial-divides below 2^20 and splits
+what is left with Pollard-Brent rho under a fixed step budget, so every k
+is answered or refused quickly.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "BernoulliTable",
     "bernoulli_ms",
     "im_j_order",
-    "odd_half_denominator",
     "table_rows",
 ]
 
@@ -219,16 +218,6 @@ def im_j_order(k: int) -> int:
         if _proven_prime(p):
             out *= p ** (1 + factors.get(p, 0))
     return out
-
-
-def odd_half_denominator(k: int) -> int:
-    """den(2 B_k / 4k) for odd k, as ``im_j_order(k) / 2``: the numerator
-    of B_k is odd and its denominator even, so the extra factor 2 cancels
-    exactly once.  (``selftest`` checks it against the Bernoulli table.)
-    """
-    if _exact(k, int, "k") % 2 == 0:
-        raise ValueError("parity: defined for odd k")
-    return im_j_order(k) // 2
 
 
 def table_rows(max_index: int) -> list[tuple[int, Fraction, int, int]]:

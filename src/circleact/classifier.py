@@ -33,12 +33,9 @@ __all__ = [
     "OrbitRecipe",
     "ClassificationResult",
     "InvalidInvariantsError",
-    "kervaire_coefficient",
     "required_divisor",
     "validate",
     "classify",
-    "euler_char_cp",
-    "surgery_obstruction_vanishes",
 ]
 
 
@@ -54,14 +51,6 @@ class ManifoldInvariants(Record):
         _set(self, "n", _exact(n, int, "n"))
         _set(self, "b_n", _exact(b_n, int, "b_n"))
         _set(self, "l", l if l is None else _exact(l, int, "l"))
-
-
-def kervaire_coefficient(k: int) -> int:
-    """a_k: the index of p_k on stable bundles over S^{4k} is a_k (2k-1)!;
-    a_k = 2 for odd k, 1 for even k."""
-    if _exact(k, int, "k") < 1:
-        raise ValueError("index starts at 1")
-    return 2 if k % 2 else 1
 
 
 class DivisorReport(Record):
@@ -221,9 +210,10 @@ def required_divisor(n: int) -> DivisorReport:
     if _exact(n, int, "n") % 8 != 7 or n < 7:
         raise ValueError("divisor defined only for n = 7 (mod 8)")
     k = (n + 1) // 4
-    a_k = kervaire_coefficient(k)  # k is even here, so a_k = 1
+    # the index of p_k on stable bundles over S^{4k} is a_k (2k-1)!, where
+    # a_k = 2 for odd k; k is even here, so a_k = 1
     step = factorial(2 * k - 1)  # (2k-1)! = ((n-1)/2)!
-    kervaire = a_k * step
+    kervaire = step
     if n == 7:
         # Hopf-invariant-one dimension: the tangential obstruction is an
         # even multiple of a primitive class, doubling the divisor to 12
@@ -231,7 +221,7 @@ def required_divisor(n: int) -> DivisorReport:
     j_index = im_j_order(k)
     required = step * j_index
     return DivisorReport(
-        n=n, k=k, a_k=a_k, kervaire=kervaire, j_index=j_index, required=required
+        n=n, k=k, a_k=1, kervaire=kervaire, j_index=j_index, required=required
     )
 
 
@@ -263,8 +253,11 @@ def _violations(inv: ManifoldInvariants, report: DivisorReport | None) -> list[s
 
 
 def validate(inv: ManifoldInvariants) -> list[str]:
-    """Realizability check; returns a list of violations (empty = ok),
-    never raises."""
+    """Realizability check; returns a list of violations (empty = ok).
+
+    For n = 7 (mod 8) it builds the divisor report, so it raises
+    OverflowError (from ``math.factorial``) once (n-1)/2 exceeds the
+    platform's C long, as at n = 8*10**20 + 7."""
     return _violations(inv, _divisor_report(inv))
 
 
@@ -330,19 +323,3 @@ def classify(inv: ManifoldInvariants) -> ClassificationResult:
         orbit=orbit,
         notes=tuple(notes),
     )
-
-
-def euler_char_cp(m: int) -> int:
-    """Euler characteristic of complex projective m-space: m + 1."""
-    if _exact(m, int, "m") < 0:
-        raise ValueError("projective dimension must be nonnegative")
-    return m + 1
-
-
-def surgery_obstruction_vanishes(k: int) -> bool:
-    """Whether the product-formula surgery obstruction dies in Z/2: it is
-    chi(CP^{2k-1}) times a class, and chi(CP^{2k-1}) = 2k is even.
-    Computed from the Euler characteristic rather than hard-coded."""
-    if _exact(k, int, "k") < 1:
-        raise ValueError("index starts at 1")
-    return euler_char_cp(2 * k - 1) % 2 == 0

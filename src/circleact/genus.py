@@ -36,22 +36,20 @@ from math import factorial, gcd, lcm
 from operator import lt
 
 from ._record import Record, _exact, _set
-from .bernoulli import bernoulli_ms, im_j_order
+from .bernoulli import bernoulli_ms
 
 __all__ = [
     "PontrjaginPolynomial",
-    "ahat_char_coeff",
     "multiplicative_sequence",
     "alpha",
-    "twisted_pairing",
-    "integrality_bound",
 ]
 
 
-def _checked_parts(parts) -> tuple[int, ...]:
-    """``parts`` as the tuple keying the monomial p_{i1} ... p_{im}: exact
-    positive ints, weakly decreasing."""
-    parts = tuple(parts)
+def _checked_parts(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """``parts`` itself if it is a tuple keying the monomial
+    p_{i1} ... p_{im}: exact positive ints, weakly decreasing."""
+    if type(parts) is not tuple:
+        _exact(parts, tuple, "partition")
     if not set(map(type, parts)) <= {int}:
         for i, p in enumerate(parts):
             _exact(p, int, "partition part {}", i)
@@ -64,9 +62,9 @@ def _checked_parts(parts) -> tuple[int, ...]:
 
 class PontrjaginPolynomial(Record):
     """Homogeneous weight-k rational polynomial in p_1..p_k, keyed by
-    partitions of k as weakly decreasing part tuples.  Zero coefficients
-    are never stored, and ``terms`` returns a fresh dict, so the stored one
-    never changes."""
+    partitions of k as weakly decreasing part tuples, with exact int or
+    ``Fraction`` coefficients.  Zero coefficients are never stored, and
+    ``terms`` returns a fresh dict, so the stored one never changes."""
 
     __slots__ = ("degree", "_terms")
 
@@ -80,8 +78,15 @@ class PontrjaginPolynomial(Record):
                 raise ValueError(
                     f"term {','.join(map(str, parts))} has weight {sum(parts)}, expected {degree}"
                 )
-            if c != 0:
-                checked[parts] = c if type(c) is Fraction else Fraction(c)
+            if type(c) is not Fraction:
+                if type(c) is not int:
+                    raise ValueError(
+                        f"coefficient of term {','.join(map(str, parts))} must be of type int "
+                        f"or Fraction, got {c!r}"
+                    )
+                c = Fraction(c)
+            if c:
+                checked[parts] = c
         _set(self, "degree", degree)
         # lexicographic on decreasing part tuples, largest first: deterministic output
         _set(self, "_terms", dict(sorted(checked.items(), reverse=True)))
@@ -118,16 +123,6 @@ class PontrjaginPolynomial(Record):
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(degree={self.degree}, terms={self._terms!r})"
-
-
-def ahat_char_coeff(m: int) -> Fraction:
-    """Coefficient of t^m in the characteristic series Q(t); 1 at m = 0."""
-    if _exact(m, int, "m") < 0:
-        raise ValueError("series index must be nonnegative")
-    if m == 0:
-        return Fraction(1)
-    sign = -1 if m % 2 else 1
-    return Fraction(sign * (2 ** (2 * m) - 2), 2 ** (2 * m) * factorial(2 * m)) * bernoulli_ms(m)
 
 
 # ---------------------------------------------------------------------------
@@ -205,26 +200,3 @@ def alpha(k: int) -> Fraction:
     if _exact(k, int, "k") < 1:
         raise ValueError("degree starts at 1")
     return (-1) ** (k + 1) * _log_scalar(k)
-
-
-def twisted_pairing(k: int, d: int) -> Fraction:
-    """Pairing of t^{2k-1} times the total genus class against the
-    fundamental class when p_k is d times a primitive element: alpha_k * d.
-
-    The sign is fixed to + (a choice of orientation); only divisibility is
-    ever consumed downstream, so the choice is immaterial there.
-    """
-    return alpha(k) * _exact(d, int, "d")
-
-
-def integrality_bound(k: int) -> int:
-    """(2k-1)! * den(B_k/4k): every middle Pontrjagin divisibility of an
-    orbit-space candidate is a multiple of this.
-
-    This is also the least positive d that is a multiple of the Kervaire
-    step a_k (2k-1)! with alpha_k * d an integer (``selftest`` checks
-    that by brute-force stepping at small k).
-    """
-    if _exact(k, int, "k") < 1:
-        raise ValueError("degree starts at 1")
-    return factorial(2 * k - 1) * im_j_order(k)

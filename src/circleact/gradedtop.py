@@ -33,7 +33,6 @@ __all__ = [
     "OrbitModel",
     "standard_orbit_model",
     "gysin_total_space",
-    "check_highly_connected",
     "divisibility_transfer",
 ]
 
@@ -68,9 +67,6 @@ class IntMatrix(Record):
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
-
-    def to_lists(self) -> list[list[int]]:
-        return [list(row) for row in self.entries]
 
 
 class SNFResult(Record):
@@ -345,15 +341,6 @@ class OrbitModel(Record):
         # a mapping proxy does not pickle; the constructor copies the dict again
         return type(self), (self.n, self.family, self.r, self.cohomology, dict(self.cup_t))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "family": self.family.value,
-            "r": self.r,
-            "cohomology": self.cohomology.to_json_dict(),
-            "cup_t": {str(j): m.to_lists() for j, m in sorted(self.cup_t.items())},
-        }
-
 
 def standard_orbit_model(n: int, family: Family | str, r: int) -> OrbitModel:
     """The orbit-space model with r handles: connected sum of r copies of
@@ -418,12 +405,6 @@ def gysin_total_space(model: OrbitModel) -> GradedGroup:
         )
     )
     return GradedGroup(ranks)
-
-
-def check_highly_connected(h: GradedGroup, n: int) -> bool:
-    """True iff H^j = 0 for 1 <= j <= n-1 (the cohomological shape of an
-    (n-1)-connected (2n+1)-manifold with torsion-free homology)."""
-    return not any(map(h.rank, range(1, _exact(n, int, "n"))))
 
 
 def divisibility_transfer(model: OrbitModel, d: int) -> int:

@@ -139,7 +139,8 @@ def test_criterion_8_snf_oracle():
 
 # --------------------------------------------------------------------------
 # criterion 9: the surgery obstruction parity is computed, not assumed:
-# chi(CP^{2k-1}) = 2k is even for k = 1..100.
+# chi(CP^{2k-1}), the alternating rank sum of the library's model of
+# CP^{2k-1}, is 2k and so even for k = 3..100 (the model needs 2k-1 >= 5).
 
 @criterion(9, "surgery obstruction parity")
 def test_criterion_9_surgery_parity():

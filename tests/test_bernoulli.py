@@ -1,42 +1,16 @@
-import os
 import re
-import subprocess
 import sys
 import threading
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
 import circleact.bernoulli as bernoulli
-from circleact.bernoulli import (
-    BernoulliTable,
-    bernoulli_ms,
-    im_j_order,
-    odd_half_denominator,
-    table_rows,
-)
-from circleact.classifier import (
-    ManifoldInvariants,
-    classify,
-    euler_char_cp,
-    kervaire_coefficient,
-    required_divisor,
-    surgery_obstruction_vanishes,
-)
-from circleact.genus import (
-    ahat_char_coeff,
-    integrality_bound,
-    multiplicative_sequence,
-    twisted_pairing,
-)
-from circleact.gradedtop import (
-    GradedGroup,
-    check_highly_connected,
-    divisibility_transfer,
-    standard_orbit_model,
-)
+from circleact.bernoulli import BernoulliTable, bernoulli_ms, im_j_order, table_rows
+from circleact.classifier import ManifoldInvariants, classify, required_divisor
+from circleact.genus import multiplicative_sequence
+from circleact.gradedtop import divisibility_transfer, standard_orbit_model
 from circleact import selftest
 from circleact.selftest import fraction_recurrence, vsc_denominator
 
@@ -144,48 +118,6 @@ def test_cold_table_rows_fills_once(monkeypatch):
 
 def test_j_index_divisible_by_24():
     selftest._check_j_index_divisible_by_24()
-
-
-def test_odd_half_denominator_examples():
-    assert odd_half_denominator(1) == 12
-    assert odd_half_denominator(3) == 252
-    assert odd_half_denominator(5) == 132
-
-
-def test_odd_half_denominator_rejects_even():
-    with pytest.raises(ValueError, match="parity"):
-        odd_half_denominator(2)
-
-
-def test_odd_half_denominator_skips_the_table():
-    # the closed form needs no Bernoulli number: filling the table to k = 4001
-    # would take about a minute
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(bernoulli.__file__).parents[1]), env.get("PYTHONPATH")) if p
-    )
-    code = (
-        "from circleact.bernoulli import _SHARED, im_j_order, odd_half_denominator\n"
-        "assert odd_half_denominator(4001) == im_j_order(4001) // 2\n"
-        "assert _SHARED.max_index == 0\n"
-    )
-    child = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10
-    )
-    assert child.returncode == 0, child.stderr
-
-
-def test_odd_half_relation():
-    selftest._check_odd_half_relation()
-
-
-def test_odd_half_relation_guard_fires(monkeypatch):
-    # the relation is guarded by the selftest check, not on every call; one
-    # wrong value at the top of its range must fail the check
-    real = bernoulli.odd_half_denominator
-    monkeypatch.setattr(bernoulli, "odd_half_denominator", lambda k: real(k) + (k == 399))
-    with pytest.raises(AssertionError):
-        selftest._check_odd_half_relation()
 
 
 def test_table_extends_on_demand():
@@ -308,38 +240,22 @@ def test_concurrent_table_rows_return_equal_prefixes(monkeypatch):
         (lambda: table_rows(True), "max_index must be of type int, got True"),
         (lambda: BernoulliTable().value(2.0), "k must be of type int, got 2.0"),
         (lambda: bernoulli_ms(True), "k must be of type int, got True"),
-        (lambda: kervaire_coefficient(2.0), "k must be of type int, got 2.0"),
-        (lambda: twisted_pairing(2, 1.5), "d must be of type int, got 1.5"),
-        (lambda: twisted_pairing(2.0, 1), "k must be of type int, got 2.0"),
         (lambda: divisibility_transfer(standard_orbit_model(7, "CPN", 1), 2.5),
          "d must be of type int, got 2.5"),
-        (lambda: odd_half_denominator(3.0), "k must be of type int, got 3.0"),
         # k = 1 is cached first, and True == 1 would hit its entry
         (lambda: (multiplicative_sequence(1), multiplicative_sequence(True)),
          "k must be of type int, got True"),
         (lambda: multiplicative_sequence(2.0), "k must be of type int, got 2.0"),
-        (lambda: ahat_char_coeff(2.0), "m must be of type int, got 2.0"),
-        (lambda: integrality_bound(2.0), "k must be of type int, got 2.0"),
-        (lambda: check_highly_connected(GradedGroup.from_ranks(15, {0: 1, 15: 1}), 7.0),
-         "n must be of type int, got 7.0"),
         (lambda: required_divisor(15.0), "n must be of type int, got 15.0"),
-        (lambda: euler_char_cp(2.5), "m must be of type int, got 2.5"),
-        (lambda: surgery_obstruction_vanishes(1.5), "k must be of type int, got 1.5"),
     ],
     ids=["im_j_order", "table_rows", "BernoulliTable.value", "bernoulli_ms",
-         "kervaire_coefficient", "twisted_pairing.d", "twisted_pairing.k",
-         "divisibility_transfer", "odd_half_denominator", "multiplicative_sequence.bool",
-         "multiplicative_sequence.float", "ahat_char_coeff", "integrality_bound",
-         "check_highly_connected", "required_divisor", "euler_char_cp",
-         "surgery_obstruction_vanishes"],
+         "divisibility_transfer", "multiplicative_sequence.bool",
+         "multiplicative_sequence.float", "required_divisor"],
 )
 def test_numeric_entry_points_take_exact_ints(call, message):
     # im_j_order(2.0) returned 240.0, table_rows(True) a row,
-    # kervaire_coefficient(2.0) 1, twisted_pairing(2, 1.5) a float,
     # divisibility_transfer(model, 2.5) 0, multiplicative_sequence(True) the
-    # polynomial of k = 1 with "k": true, euler_char_cp(2.5) 3.5 and
-    # surgery_obstruction_vanishes(1.5) False; required_divisor(15.0) named
-    # k = 4.0, and the float calls of the genus functions and
-    # check_highly_connected died with a bare TypeError
+    # polynomial of k = 1 with "k": true; required_divisor(15.0) named
+    # k = 4.0, and multiplicative_sequence(2.0) died with a bare TypeError
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

@@ -11,21 +11,20 @@ from circleact.classifier import (
     ReasonCode,
     Witness,
     classify,
-    euler_char_cp,
-    kervaire_coefficient,
     required_divisor,
     validate,
 )
 from circleact import selftest
-from circleact.gradedtop import Family
+from circleact.gradedtop import Family, standard_orbit_model
 
 
 def test_kervaire_coefficient():
-    assert kervaire_coefficient(1) == 2
-    assert kervaire_coefficient(2) == 1
-    assert kervaire_coefficient(3) == 2
-    with pytest.raises(ValueError):
-        kervaire_coefficient(0)
+    # k = (n+1)/4 is even for every n = 7 (mod 8), so a_k = 1 and the
+    # realizability divisor is (2k-1)!, doubled to 12 in dimension 7
+    for n in range(7, 200, 8):
+        report = required_divisor(n)
+        assert (report.k % 2, report.a_k) == (0, 1)
+        assert report.kervaire == (12 if n == 7 else factorial(2 * report.k - 1))
 
 
 def test_required_divisor_n7():
@@ -93,6 +92,13 @@ def test_validate_examples():
     assert validate(ManifoldInvariants(15, 3, 5040)) == []
     assert validate(ManifoldInvariants(15, 3, 100)) == ["l not divisible by 5040"]
     assert validate(ManifoldInvariants(7, 1, 6)) == ["l not divisible by 12"]
+
+
+def test_validate_raises_when_the_factorial_overflows():
+    # the divisor report of n = 7 (mod 8) needs ((n-1)/2)!, which
+    # math.factorial refuses beyond the platform's C long
+    with pytest.raises(OverflowError):
+        validate(ManifoldInvariants(8 * 10**20 + 7, 1, 0))
 
 
 def test_validate_more_violations():
@@ -234,11 +240,12 @@ def test_reason_code_admits_property():
 
 
 def test_euler_char_cp():
-    assert euler_char_cp(0) == 1
-    assert euler_char_cp(3) == 4
-    assert euler_char_cp(9) == 10
-    with pytest.raises(ValueError):
-        euler_char_cp(-1)
+    # chi(CP^n) = n + 1, read from the orbit model as an alternating rank
+    # sum; each handle S^n x S^n (n odd) lowers it by 2
+    for n in (5, 7, 9, 15, 21):
+        for r in (0, 1, 3):
+            ranks = standard_orbit_model(n, Family.CPN, r).cohomology.ranks
+            assert sum(ranks[::2]) - sum(ranks[1::2]) == n + 1 - 2 * r
 
 
 def test_surgery_obstruction_parity():

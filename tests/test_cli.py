@@ -56,6 +56,13 @@ def test_classify_divisibility_violation(capsys):
     assert json.loads(err)["violations"] == ["l not divisible by 12"]
 
 
+def test_classify_factorial_overflow_is_a_domain_error(capsys):
+    # validate raises OverflowError: ((n-1)/2)! is past math.factorial's range
+    code, out, err = run(capsys, "classify", "--n", str(8 * 10**20 + 7), "--bn", "1", "--l", "0")
+    assert code == 1 and out == ""
+    assert "error" in json.loads(err)
+
+
 def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--n", "15"])  # missing required --bn

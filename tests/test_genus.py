@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -6,19 +7,14 @@ import pytest
 
 import circleact.bernoulli as bernoulli
 import circleact.genus as genus
-from circleact.genus import (
-    PontrjaginPolynomial,
-    ahat_char_coeff,
-    alpha,
-    integrality_bound,
-    multiplicative_sequence,
-    twisted_pairing,
-)
+from circleact.classifier import required_divisor
+from circleact.genus import PontrjaginPolynomial, alpha, multiplicative_sequence
 from circleact.selftest import (
     _check_alpha_three_way,
     _check_bound_by_brute_force,
     _check_multiplicativity,
     _check_pairing_integrality,
+    brute_force_bound,
     series_coefficients,
 )
 
@@ -32,7 +28,7 @@ def test_partition_basics():
     assert all(type(c) is Fraction for c in poly.terms.values())
     assert poly.to_json_dict() == {"k": 4, "terms": {"3,1": "5", "2,1,1": "1/2", "1,1,1,1": "3"}}
     assert str(poly) == "(5)*p3*p1 + (1/2)*p2*p1^2 + (3)*p1^4"
-    assert poly.coefficient((2, 1, 1)) == poly.coefficient([2, 1, 1]) == Fraction(1, 2)
+    assert poly.coefficient((2, 1, 1)) == Fraction(1, 2)
     assert poly.coefficient((4,)) == 0
 
 
@@ -45,9 +41,7 @@ def test_partition_validation():
 
 
 def test_char_coeff_examples():
-    assert ahat_char_coeff(0) == 1
-    assert ahat_char_coeff(1) == Fraction(-1, 24)
-    assert ahat_char_coeff(2) == Fraction(7, 5760)
+    assert series_coefficients(2) == [1, Fraction(-1, 24), Fraction(7, 5760)]
 
 
 def test_char_coeff_frozen_table():
@@ -57,13 +51,9 @@ def test_char_coeff_frozen_table():
         4: Fraction(127, 154828800),
         5: Fraction(-73, 3503554560),
     }
+    lam = series_coefficients(5)
     for m, value in expected.items():
-        assert ahat_char_coeff(m) == value
-
-
-def test_char_coeff_rejects_negative():
-    with pytest.raises(ValueError):
-        ahat_char_coeff(-1)
+        assert lam[m] == value
 
 
 def test_degree_one_polynomial():
@@ -153,8 +143,9 @@ def test_higher_degrees_match_frozen_table():
 
 def test_p1_power_coefficient_is_series_coefficient():
     # one formal root: K(1 + x) = Q(x), so the p1^k coefficient is lam_k
+    lam = series_coefficients(10)
     for k in range(1, 11):
-        assert multiplicative_sequence(k).coefficient((1,) * k) == ahat_char_coeff(k)
+        assert multiplicative_sequence(k).coefficient((1,) * k) == lam[k]
 
 
 def test_polynomial_terms_have_exact_weight():
@@ -224,7 +215,8 @@ def test_alpha_is_the_closed_form_alone(monkeypatch):
 
 
 def test_series_oracle_uses_no_bernoulli_number(monkeypatch):
-    expected = [ahat_char_coeff(m) for m in range(13)]
+    # the p1^m coefficient of the sequence is lam_m (one formal root)
+    expected = [1] + [multiplicative_sequence(m).coefficient((1,) * m) for m in range(1, 13)]
 
     def refuse(k):
         raise AssertionError("the oracle must not read a Bernoulli number")
@@ -253,15 +245,16 @@ def test_alpha_three_way_agreement():
 
 
 def test_twisted_pairing_examples():
-    assert twisted_pairing(1, 24) == -1
-    assert twisted_pairing(2, 0) == 0
-    assert twisted_pairing(2, 1440) == -1
+    # the pairing with a middle class of divisibility d is alpha_k * d
+    assert alpha(1) * 24 == -1
+    assert alpha(2) * 0 == 0
+    assert alpha(2) * 1440 == -1
 
 
 def test_integrality_bound_examples():
-    assert integrality_bound(1) == 24
-    assert integrality_bound(2) == 1440
-    assert integrality_bound(4) == 2419200
+    assert brute_force_bound(1) == 24
+    assert brute_force_bound(2) == required_divisor(7).required == 1440
+    assert required_divisor(15).required == 2419200
 
 
 def test_pairing_integral_on_bound_multiples():
@@ -300,7 +293,31 @@ def test_partition_parts_must_be_ints():
         with pytest.raises(ValueError, match=r"^partition part 1 must be of type int, got True$"):
             lookup((2, True))
         with pytest.raises(ValueError, match="^partition part 0 must be of type int, got '3'$"):
-            lookup("3")
+            lookup(("3",))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: PontrjaginPolynomial(2, {(2,): 0.1}),
+         "coefficient of term 2 must be of type int or Fraction, got 0.1"),
+        (lambda: PontrjaginPolynomial(2, {(2,): 1, (1, 1): True}),
+         "coefficient of term 1,1 must be of type int or Fraction, got True"),
+        (lambda: PontrjaginPolynomial(2, {(2,): "1/3"}),
+         "coefficient of term 2 must be of type int or Fraction, got '1/3'"),
+        (lambda: PontrjaginPolynomial(3, {3: 1}), "partition must be of type tuple, got 3"),
+        (lambda: multiplicative_sequence(3).coefficient(3), "partition must be of type tuple, got 3"),
+        (lambda: multiplicative_sequence(3).coefficient([2, 1]),
+         "partition must be of type tuple, got [2, 1]"),
+    ],
+    ids=["float", "bool", "str", "int_key", "coefficient.int", "coefficient.list"],
+)
+def test_polynomial_takes_exact_coefficients_and_tuple_keys(call, message):
+    # a float was stored as its binary fraction (0.1 as
+    # 3602879701896397/36028797018963968), True as 1 and "1/3" as 1/3; an int
+    # key died with a bare TypeError, and coefficient() took any iterable
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # The rational recurrence the integer one replaced, kept here as its pin:
@@ -308,11 +325,14 @@ def test_partition_parts_must_be_ints():
 # with Fraction coefficients.
 
 
+_LAMBDA = series_coefficients(40)
+
+
 @lru_cache(maxsize=None)
 def _fraction_log_coeff(m):
-    acc = m * ahat_char_coeff(m)
+    acc = m * _LAMBDA[m]
     for j in range(1, m):
-        acc -= j * _fraction_log_coeff(j) * ahat_char_coeff(m - j)
+        acc -= j * _fraction_log_coeff(j) * _LAMBDA[m - j]
     return acc / m
 
 

@@ -26,6 +26,19 @@ def test_package_reexports_every_module_name_once():
     )
 
 
+def test_public_surface_is_pinned():
+    # a new public name is added here on purpose, or not at all
+    assert sorted(circleact.__all__) == [
+        "BernoulliTable", "ClassificationResult", "DivisorReport", "Family", "GradedGroup",
+        "IntMatrix", "InvalidInvariantsError", "ManifoldInvariants", "OrbitModel",
+        "OrbitRecipe", "PontrjaginPolynomial", "ReasonCode", "SNFResult", "Witness",
+        "__version__", "alpha", "bernoulli_ms", "classify", "cokernel",
+        "divisibility_transfer", "gysin_total_space", "im_j_order", "multiplicative_sequence",
+        "required_divisor", "smith_normal_form", "standard_orbit_model", "table_rows",
+        "validate",
+    ]
+
+
 def test_derived_flags_are_not_stored():
     for cls, flag in ((ClassificationResult, "admits"), (SNFResult, "rank"),
                       (SelfTestReport, "failed")):
