@@ -82,9 +82,9 @@ class BernoulliTable:
                 nxt.append(2 * prev)
                 col = nxt
             b = Fraction(2 * i * col[-1], 4**i * (4**i - 1))
-            # B_i = num/den in lowest terms, so den(B_i/4i) = 4i den / gcd(num, 4i)
+            # B_i = num/den, num odd: den(B_i/4i) = 4i den / gcd(num, 4i) = 4i den / gcd(num, i)
             num, den = b.numerator, b.denominator
-            rows.append((i, b, den, 4 * i * den // gcd(num, 4 * i)))
+            rows.append((i, b, den, 4 * i * den // gcd(num, i)))
         self._column = col
 
     def value(self, k: int) -> Fraction:
@@ -112,9 +112,7 @@ _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def _proven_prime(n: int) -> bool:
-    """Exact primality: trial division by the bases, then Miller-Rabin."""
-    if n < 2:
-        return False
+    """Exact primality of n >= 2: trial division by the bases, then Miller-Rabin."""
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
@@ -223,9 +221,8 @@ def im_j_order(k: int) -> int:
 def table_rows(max_index: int) -> list[tuple[int, Fraction, int, int]]:
     """Rows (k, B_k, den(B_k), den(B_k/4k)) for k = 1..max_index, as a
     fresh list: a slice of the shared table's memoized rows."""
-    if _exact(max_index, int, "max_index") < 1:
-        raise ValueError("index starts at 1")
-    bernoulli_ms(max_index)  # at most one extension, through BernoulliTable.value
+    # at most one extension; BernoulliTable.value refuses an index below 1
+    bernoulli_ms(_exact(max_index, int, "max_index"))
     table = _SHARED
     with table._lock:
         return table._rows[:max_index]

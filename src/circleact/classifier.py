@@ -236,7 +236,7 @@ def _divisor_report(inv: ManifoldInvariants) -> DivisorReport | None:
 
 def _violations(inv: ManifoldInvariants, report: DivisorReport | None) -> list[str]:
     violations: list[str] = []
-    if inv.n < 5 or inv.n % 2 == 0 or inv.n % 8 not in (5, 7):
+    if inv.n < 5 or inv.n % 8 not in (5, 7):
         violations.append("n must be odd, at least 5, and congruent to 5 or 7 mod 8")
     if inv.b_n < 0:
         violations.append("b_n must be nonnegative")

@@ -172,8 +172,7 @@ def _cmd_gysin(args, out) -> int:
     model = standard_orbit_model(args.n, args.family, args.r)
     h = gysin_total_space(model)
     lines = []
-    for j in range(h.top_degree + 1):
-        rank = h.rank(j)
+    for j, rank in enumerate(h.ranks):
         if rank:
             lines.append(f"H^{j} = Z" + (f"^{rank}" if rank > 1 else ""))
     _emit(h.to_json_dict(), lines, args.format, out)
@@ -182,7 +181,7 @@ def _cmd_gysin(args, out) -> int:
 
 def _cmd_recipe(args, out) -> int:
     result = classify(ManifoldInvariants(n=args.n, b_n=args.bn, l=args.l))
-    if not result.admits or result.orbit is None:
+    if not result.admits:
         error = {
             "admits": False,
             "reason": result.reason.value,

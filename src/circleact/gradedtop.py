@@ -88,9 +88,9 @@ def smith_normal_form(mat: IntMatrix) -> SNFResult:
     the smallest nonzero entry; a pivot above the Hadamard bound of the
     input switches the elimination to arithmetic modulo 2|M|.
 
-    Each round selects the smallest nonzero entry of the remaining block
-    and makes one Euclid pass on its row and column.  A nonzero remainder
-    is smaller than the pivot, so the next round selects again.
+    Each round selects the smallest remaining nonzero entry and reduces its
+    column, then its row once the column is clear.  A remainder is smaller
+    than the pivot, so the next round selects again.
 
     Smallest-pivot elimination lets entries grow without limit.  Once the
     smallest remaining entry exceeds the Hadamard bound of the input (no
@@ -143,18 +143,18 @@ def _invariant_factors(mat: IntMatrix, bound: int | None = None) -> tuple[int, .
     above it.  ``bound`` defaults to the Hadamard bound, computed at the
     first pivot above 1 (no unit pivot exceeds it); ``bound`` 0 runs the
     whole elimination modulo N.  The block is reduced mod N only at each
-    selection, where a remainder r, |r| < |pivot| <= N/2, stays as it is."""
+    selection; a round's remainders, |r| < |pivot| <= N/2, stay as they are."""
     a = list(map(list, mat.entries))
     nr, nc = mat.rows, mat.cols
-    rank = nr if nr < nc else nc
     limit = 1 if bound is None else bound
     modulus = half = 0  # exact integers until the switch
     factors: list[int] = []
     t = 0
-    while t < rank:
+    while True:
         if modulus:
             # the remaining block has the invariant factors d_{t+1..r}, all
             # below N, so reducing it into [-N/2, N/2) loses none of them
+            # and leaves it zero once t = r
             for row in a[t:]:
                 row[t:] = [(x + half) % modulus - half for x in row[t:]]
         # the smallest |entry| of the block, first in row-major order
@@ -172,15 +172,14 @@ def _invariant_factors(mat: IntMatrix, bound: int | None = None) -> tuple[int, .
             if bound is None:
                 limit = bound = _hadamard_bound(mat)
             if p > limit:
-                rank, minor = _rank_and_minor(mat)
-                half = abs(minor)
+                half = abs(_rank_and_minor(mat)[1])
                 modulus = limit = 2 * half
                 continue
         a[t], a[pi] = a[pi], a[t]
         if pj != t:
             for row in a[t:]:
                 row[t], row[pj] = row[pj], row[t]
-        # one Euclid pass; a nonzero remainder sends the round back to selection
+        # one Euclid pass down column t; a remainder sends the round back to selection
         head = a[t]
         pivot = head[t]
         rest = False
@@ -192,16 +191,11 @@ def _invariant_factors(mat: IntMatrix, bound: int | None = None) -> tuple[int, .
             if row[t]:
                 rest = True
         if rest:
-            for j in range(t + 1, nc):
-                q = head[j] // pivot
-                if q:
-                    for row in a[t:]:
-                        row[j] -= q * row[t]
-        else:
-            # column t is clear below the pivot, so only the head row changes:
-            # x - (x // pivot) * pivot is x % pivot
-            head[t + 1:] = [x % pivot for x in head[t + 1:]]
-        if rest or any(head[t + 1:]):
+            continue
+        # column t is clear below the pivot, so only the head row changes:
+        # x - (x // pivot) * pivot is x % pivot
+        head[t + 1:] = [x % pivot for x in head[t + 1:]]
+        if any(head[t + 1:]):
             continue
         # the pivot must divide every remaining entry; if not, fold the
         # offending row in and re-eliminate
@@ -378,8 +372,8 @@ def gysin_total_space(model: OrbitModel) -> GradedGroup:
     check and its image rank (the unit maps of a standard model are one
     shared matrix); a degree without a stored map is the zero map.
     """
-    top = 2 * model.n
-    image = [0] * (top + 1)  # rank of the image of t on H^j
+    base = model.cohomology.ranks
+    image = [0] * len(base)  # rank of the image of t on H^j
     cokernels: dict[IntMatrix, tuple[int, tuple[int, ...]]] = {}
     last = None  # a run of one shared map is looked up once
     for j, mat in sorted(model.cup_t.items()):
@@ -394,9 +388,8 @@ def gysin_total_space(model: OrbitModel) -> GradedGroup:
                 )
             rank, last = mat.rows - coker_free, mat
         image[j] = rank
-    # degree j of the total space, j = 0..top+1:
+    # degree j of the total space, j = 0..2n+1:
     # rank H^j - image on H^{j-2}  +  rank H^{j-1} - image on H^{j-1}
-    base = model.cohomology.ranks
     ranks = tuple(
         map(
             sub,

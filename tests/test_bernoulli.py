@@ -82,6 +82,38 @@ def test_factorize_beyond_the_trial_division_limit():
     assert bernoulli._factorize(1073741827 * 1073741831) == {1073741827: 1, 1073741831: 1}
 
 
+def test_base_41_rejects_the_strong_pseudoprime_to_every_smaller_base():
+    # psi_12 = 2k + 1 is a strong pseudoprime to every prime base below 41,
+    # so only base 41 keeps it out of the image-of-J order
+    psi12 = 318665857834031151167461
+    k = 159332928917015575583730
+    assert 2 * k + 1 == psi12
+    assert im_j_order(k) % psi12 != 0
+
+
+def test_a_carmichael_number_is_not_proven_prime():
+    # 1152271 = 43 * 127 * 211 passes the Fermat test to every base, so
+    # only the strong test's square roots of 1 refuse it
+    assert not bernoulli._proven_prime(1152271)
+
+
+def test_the_deterministic_range_ends_below_psi_13():
+    # psi_13 = _MR_LIMIT passes every base but is composite: at the limit
+    # itself primality is refused, not assumed
+    with pytest.raises(ValueError, match="^cannot prove 3317044064679887385961981 prime"):
+        im_j_order(1658522032339943692980990)
+
+
+@pytest.mark.parametrize(
+    "k, factors",
+    [(1048583 * 1048709, {1048583: 1, 1048709: 1}), (1048583**2, {1048583: 2})],
+)
+def test_rho_replays_a_batch_that_overshoots(k, factors):
+    # the gcd over a 128-step batch at c = 1 is the whole cofactor, so the
+    # batch is replayed one difference at a time
+    assert bernoulli._factorize(k) == factors
+
+
 def test_closed_form_refuses_an_unsplittable_cofactor():
     # two 61-bit primes: rho needs about 2^30 steps, far over its budget
     with pytest.raises(ValueError, match="step budget"):
@@ -126,6 +158,17 @@ def test_table_extends_on_demand():
     assert table.max_index >= 3
     assert table.value(10) == bernoulli_ms(10)
     assert table.max_index >= 10
+
+
+def test_table_extends_only_past_its_end(monkeypatch):
+    table = BernoulliTable()
+    calls = []
+    extend = table._extend
+    monkeypatch.setattr(table, "_extend", lambda upto: (calls.append(upto), extend(upto)))
+    table.value(5)
+    table.value(5)
+    table.value(3)
+    assert calls == [5]
 
 
 def test_table_rejects_bad_index():

@@ -150,6 +150,15 @@ def test_classify_odd_betti_zero_class():
     assert result.orbit.divisibility == 0
 
 
+def test_omitted_l_classifies_as_zero_for_n7():
+    assert classify(ManifoldInvariants(15, 3)).reason is ReasonCode.ODD_DIVISIBLE
+    assert classify(ManifoldInvariants(15, 2)).reason is ReasonCode.EVEN_L_ZERO
+
+
+def test_classify_without_a_remark_has_no_notes():
+    assert classify(ManifoldInvariants(13, 2, 0)).notes == ()
+
+
 def test_classify_homotopy_sphere_flagged():
     result = classify(ManifoldInvariants(7, 0, 0))
     assert result.admits and result.reason is ReasonCode.EVEN_L_ZERO

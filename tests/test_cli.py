@@ -40,6 +40,9 @@ def test_classify_text(capsys):
     assert code == 0
     assert "admits free circle action: yes" in out
     assert "EVEN_L_ZERO" in out
+    code, out, _ = run(capsys, "classify", "--n", "15", "--bn", "3", "--l", "2419200")
+    assert code == 0
+    assert "normal form: #_2(S^15 x S^16) # S^15-bundle over S^16 with divisibility 2419200\n" in out
 
 
 def test_classify_domain_error(capsys):
@@ -73,6 +76,18 @@ def test_unknown_flag_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["imj", "--k", "2", "--frobnicate"])
     assert exc.value.code == 2
+
+
+def test_unknown_family_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gysin", "--n", "7", "--family", "RP", "--r", "1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "circleact gysin: error: argument --family: unknown family 'RP'; "
+        "choose CPN or CPHALF_TIMES_SPHERE"
+    )
 
 
 def test_unknown_subcommand_rejected(capsys):
@@ -294,12 +309,18 @@ def test_l_beyond_the_interpreter_digit_limit(capsys, fmt):
 
 
 def test_main_restores_the_digit_limit(capsys):
+    # a known nonzero limit: main lifts it to 0 while it runs, so a limit
+    # of 0 left by an earlier test could not tell a restore from none
     before = sys.get_int_max_str_digits()
-    run(capsys, "imj", "--k", "2")
-    assert sys.get_int_max_str_digits() == before
-    with pytest.raises(SystemExit):
-        main(["imj"])
-    assert sys.get_int_max_str_digits() == before
+    sys.set_int_max_str_digits(5000)
+    try:
+        run(capsys, "imj", "--k", "2")
+        assert sys.get_int_max_str_digits() == 5000
+        with pytest.raises(SystemExit):
+            main(["imj"])
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def _package_env():

@@ -162,6 +162,16 @@ def test_polynomial_degree_starts_at_one():
         PontrjaginPolynomial(0, {})
 
 
+@pytest.mark.parametrize("k", [0, -3])
+def test_sequence_refuses_a_degree_below_one_before_the_cache(k):
+    # the polynomial constructor would refuse it too, after the recurrence
+    # had memoized a part of weight k
+    cached = genus._sequence_part.cache_info().currsize
+    with pytest.raises(ValueError, match="^degree starts at 1$"):
+        multiplicative_sequence(k)
+    assert genus._sequence_part.cache_info().currsize == cached
+
+
 def test_polynomial_degree_is_an_exact_int_that_cannot_be_reassigned():
     # PontrjaginPolynomial(2.0, {}) constructed, and degree could be set
     for bad in (2.0, True, "2"):
@@ -214,6 +224,15 @@ def test_alpha_is_the_closed_form_alone(monkeypatch):
         assert alpha(k) == -bernoulli.bernoulli_ms(k) / (2 * factorial(2 * k))
 
 
+def test_degree_k_reads_the_bernoulli_numbers_up_to_k(monkeypatch):
+    read = []
+    monkeypatch.setattr(genus, "bernoulli_ms", lambda m: (read.append(m), bernoulli.bernoulli_ms(m))[1])
+    genus._log_scalar.cache_clear()
+    genus._sequence_part.cache_clear()
+    multiplicative_sequence(5)
+    assert sorted(read) == [1, 2, 3, 4, 5]
+
+
 def test_series_oracle_uses_no_bernoulli_number(monkeypatch):
     # the p1^m coefficient of the sequence is lam_m (one formal root)
     expected = [1] + [multiplicative_sequence(m).coefficient((1,) * m) for m in range(1, 13)]
@@ -228,7 +247,8 @@ def test_series_oracle_uses_no_bernoulli_number(monkeypatch):
 
 
 def test_alpha_rejects_zero():
-    with pytest.raises(ValueError):
+    # its own message, not the Bernoulli table's "index starts at 1"
+    with pytest.raises(ValueError, match="^degree starts at 1$"):
         alpha(0)
 
 

@@ -40,6 +40,9 @@ def test_matrix_validation():
         IntMatrix(2, 2, ((1, 2),))
     with pytest.raises(ValueError):
         IntMatrix(1, 2, ((1,),))
+    # an empty grid matches any column count, so only the sign check refuses it
+    with pytest.raises(ValueError, match="^matrix dimensions must be nonnegative$"):
+        IntMatrix(0, -1, ())
 
 
 def test_matrix_dimensions_must_be_ints():
@@ -113,12 +116,28 @@ def _matrices(draw):
 def test_snf_property_against_minor_gcds(mat):
     got = smith_normal_form(mat)
     assert got.invariant_factors == minor_gcd_invariant_factors(mat)
-    assert gradedtop._invariant_factors(mat, 0) == got.invariant_factors
+    # bound 0 runs modulo N from the first step, a small bound switches
+    # there in the middle of the elimination
+    for bound in (0, 1, 2, 3, 5, 8):
+        assert gradedtop._invariant_factors(mat, bound) == got.invariant_factors
     assert got.rank == len(got.invariant_factors)
     if mat.rows == mat.cols:
         det = _det([list(row) for row in mat.entries])
         if det:
             assert prod(got.invariant_factors) == abs(det)
+
+
+def test_modular_phase_runs_only_past_the_bound(monkeypatch):
+    # the pivots 2 stay below the Hadamard bound 3 * 3, so the elimination
+    # stays exact; bound 0 switches at the first pivot and looks up M once
+    calls = []
+    real = gradedtop._rank_and_minor
+    monkeypatch.setattr(gradedtop, "_rank_and_minor", lambda mat: (calls.append(mat), real(mat))[1])
+    mat = IntMatrix.from_rows([[2, 0], [0, 2]])
+    assert gradedtop._invariant_factors(mat) == (2, 2)
+    assert calls == []
+    assert gradedtop._invariant_factors(mat, 0) == (2, 2)
+    assert calls == [mat]
 
 
 # sub-seeds of m x m matrices on which smallest-pivot elimination without a
@@ -354,11 +373,32 @@ def test_standard_model_stores_only_unit_maps(family, stored):
 
 
 def test_standard_model_rejects_bad_dimension():
-    for n in (3, 4, 6, 8):
-        with pytest.raises(ValueError, match="dimension out of scope"):
-            standard_orbit_model(n, Family.CPN, 0)
-    with pytest.raises(ValueError):
+    # checked before the ranks are built: n = -2 would index past them, and
+    # an even n has no degree n - 1 map for the product family to drop
+    for n in (-2, -1, 3, 4, 6, 8):
+        for family in Family:
+            with pytest.raises(ValueError, match="^dimension out of scope$"):
+                standard_orbit_model(n, family, 0)
+    with pytest.raises(ValueError, match="^handle count must be nonnegative$"):
         standard_orbit_model(7, Family.CPN, -1)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("n", 3, "^dimension out of scope$"),
+        ("n", 4, "^dimension out of scope$"),
+        ("n", 6, "^dimension out of scope$"),
+        ("r", -1, "^handle count must be nonnegative$"),
+        ("cohomology", GradedGroup((1, 0, 1, 0, 1)), r"^cohomology must live in degrees 0\.\.2n$"),
+    ],
+)
+def test_model_constructor_checks_its_own_fields(field, value, message):
+    base = standard_orbit_model(7, Family.CPN, 1)
+    fields = {"n": 7, "family": Family.CPN, "r": 1, "cohomology": base.cohomology,
+              "cup_t": base.cup_t, field: value}
+    with pytest.raises(ValueError, match=message):
+        OrbitModel(**fields)
 
 
 def test_model_arguments_must_be_ints():
@@ -597,6 +637,10 @@ def test_model_validation_rejects_bad_shapes():
     cup = dict(model.cup_t)
     cup[0] = _zeros(3, 7)
     with pytest.raises(ValueError, match="wrong shape"):
+        OrbitModel(n=7, family=Family.CPN, r=1, cohomology=model.cohomology, cup_t=cup)
+    # the right number of columns, the wrong number of rows
+    cup = {**model.cup_t, 2: _zeros(2, 1)}
+    with pytest.raises(ValueError, match="^cup map at degree 2 has wrong shape$"):
         OrbitModel(n=7, family=Family.CPN, r=1, cohomology=model.cohomology, cup_t=cup)
 
 
