@@ -15,10 +15,15 @@ order, and writes its own ``__init__`` that stores each field with
 base fields first, and ``_values`` is the tuple of field values in that
 order; the constructor takes them positionally in that order.  ``_exact``
 is the type check a constructor runs on a field.
+
+``Family`` names the two orbit-space rings.  It lives here, below both
+``classifier`` and ``gradedtop``, so that a classification loads no
+linear algebra; ``gradedtop`` re-exports it.
 """
 
 from __future__ import annotations
 
+from enum import Enum
 from operator import attrgetter
 
 _set = object.__setattr__
@@ -67,3 +72,12 @@ class Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Family(str, Enum):
+    """The two orbit-space cohomology rings that can occur: the projective
+    space ring (cup with t hits every even degree) and the ring of a
+    half-projective space times a sphere (cup with t dies at degree n-1)."""
+
+    CPN = "CPN"
+    CPHALF_TIMES_SPHERE = "CPHALF_TIMES_SPHERE"

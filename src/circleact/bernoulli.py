@@ -30,11 +30,14 @@ is answered or refused quickly.
 from __future__ import annotations
 
 import threading
-from fractions import Fraction
 from itertools import count
 from math import gcd
 
 from ._record import _exact
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "BernoulliTable",
@@ -66,6 +69,10 @@ class BernoulliTable:
         return len(self._rows)
 
     def _extend(self, upto: int) -> None:
+        # im_j_order never fills the table, so a process that only asks
+        # for it never loads fractions
+        from fractions import Fraction
+
         # Column i follows from column i - 1: t_i(1) = (i-1) t_{i-1}(1) and
         # t_i(j) = (i-j) t_{i-1}(j) + (i-j+2) t_i(j-1) for j = 2..i, where
         # t_i(j) is T_i after pass j of the in-place recurrence

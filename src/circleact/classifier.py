@@ -21,9 +21,12 @@ from __future__ import annotations
 from enum import Enum
 from math import factorial
 
-from ._record import Record, _exact, _set
+from ._record import Family, Record, _exact, _set
 from .bernoulli import im_j_order
-from .gradedtop import Family, OrbitModel, standard_orbit_model
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
+if TYPE_CHECKING:
+    from .gradedtop import OrbitModel
 
 __all__ = [
     "ManifoldInvariants",
@@ -151,6 +154,8 @@ class OrbitRecipe(Record):
 
     def orbit_model(self) -> OrbitModel:
         """The graded model of this recipe, ready for the Gysin engine."""
+        from .gradedtop import standard_orbit_model  # a verdict needs no linear algebra
+
         return standard_orbit_model(self.n, self.family, self.handles)
 
     def to_json_dict(self) -> dict:

@@ -4,41 +4,47 @@ One subcommand per library surface, each with ``--format {text,json}``
 (default text).  Exit codes: 0 success, 1 domain error (a machine-readable
 JSON object goes to stderr), 2 usage error.  All numeric flags are parsed
 as arbitrary-precision integers; divisibilities easily exceed 64 bits.
+
+Importing this module loads none of the library layers, nor ``argparse``
+or ``json``: each subcommand imports what it runs when it runs, so a
+process pays only for the layers its subcommand uses.  The imports read
+each module's attributes at call time, so a function rebound there (by a
+tracer, say) is the one called.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import sys
 
 from . import __version__
-from .bernoulli import im_j_order, table_rows
-from .classifier import (
-    InvalidInvariantsError,
-    ManifoldInvariants,
-    classify,
-    required_divisor,
-)
-from .genus import multiplicative_sequence
-from .gradedtop import Family, gysin_total_space, standard_orbit_model
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
+if TYPE_CHECKING:
+    import argparse
+
+    from ._record import Family
 
 __all__ = ["main", "build_parser"]
 
-_FAMILIES = {**Family.__members__, "CPHALF": Family.CPHALF_TIMES_SPHERE}
-
 
 def _family(text: str) -> Family:
+    from ._record import Family
+
+    families = {**Family.__members__, "CPHALF": Family.CPHALF_TIMES_SPHERE}
     try:
-        return _FAMILIES[text.upper()]
+        return families[text.upper()]
     except KeyError:
+        import argparse
+
         raise argparse.ArgumentTypeError(
             f"unknown family {text!r}; choose CPN or CPHALF_TIMES_SPHERE"
         ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="circleact",
         description=(
@@ -98,13 +104,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(payload: dict, text_lines: list[str], fmt: str, out) -> None:
     if fmt == "json":
+        import json
+
         print(json.dumps(payload), file=out)
     else:
         for line in text_lines:
             print(line, file=out)
 
 
+def _fail(error: dict) -> int:
+    """Report a domain error as one JSON line on stderr; exit code 1."""
+    import json
+
+    print(json.dumps(error), file=sys.stderr)
+    return 1
+
+
 def _cmd_classify(args, out) -> int:
+    from .classifier import ManifoldInvariants, classify
+
     result = classify(ManifoldInvariants(n=args.n, b_n=args.bn, l=args.l))
     lines = [
         f"admits free circle action: {'yes' if result.admits else 'no'}",
@@ -134,8 +152,12 @@ def _cmd_classify(args, out) -> int:
 
 
 def _cmd_bernoulli(args, out) -> int:
+    from .bernoulli import table_rows
+
     rows = table_rows(args.max)
     if args.format == "json":
+        import json
+
         payload = [
             {"k": k, "bernoulli": str(b), "den": d, "j_index": j}
             for k, b, d, j in rows
@@ -149,18 +171,24 @@ def _cmd_bernoulli(args, out) -> int:
 
 
 def _cmd_imj(args, out) -> int:
+    from .bernoulli import im_j_order
+
     value = im_j_order(args.k)
     _emit({"k": args.k, "j_index": value}, [str(value)], args.format, out)
     return 0
 
 
 def _cmd_ahat(args, out) -> int:
+    from .genus import multiplicative_sequence
+
     poly = multiplicative_sequence(args.k)
     _emit(poly.to_json_dict(), [str(poly)], args.format, out)
     return 0
 
 
 def _cmd_divisor(args, out) -> int:
+    from .classifier import required_divisor
+
     report = required_divisor(args.n)
     payload = report.to_json_dict()
     lines = [f"{key}: {value}" for key, value in payload.items()]
@@ -169,6 +197,8 @@ def _cmd_divisor(args, out) -> int:
 
 
 def _cmd_gysin(args, out) -> int:
+    from .gradedtop import gysin_total_space, standard_orbit_model
+
     model = standard_orbit_model(args.n, args.family, args.r)
     h = gysin_total_space(model)
     lines = []
@@ -180,25 +210,27 @@ def _cmd_gysin(args, out) -> int:
 
 
 def _cmd_recipe(args, out) -> int:
+    from .classifier import ManifoldInvariants, classify
+
     result = classify(ManifoldInvariants(n=args.n, b_n=args.bn, l=args.l))
     if not result.admits:
-        error = {
+        return _fail({
             "admits": False,
             "reason": result.reason.value,
             "error": "no free circle action up to almost diffeomorphism",
-        }
-        print(json.dumps(error), file=sys.stderr)
-        return 1
+        })
     lines = [result.orbit.describe(), *(f"note: {note}" for note in result.notes)]
     _emit(result.orbit.to_json_dict(), lines, args.format, out)
     return 0
 
 
 def _cmd_selftest(args, out) -> int:
-    from . import selftest  # the suite is only imported when it runs
+    from .selftest import run
 
-    report = selftest.run(args.only)
+    report = run(args.only)
     if args.format == "json":
+        import json
+
         payload = {
             "passed": report.passed,
             "failed": report.failed,
@@ -235,18 +267,18 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
-    except InvalidInvariantsError as exc:
-        error = {
-            "admits": False,
-            "reason": "UNREALIZABLE",
-            "error": "invalid manifold invariants",
-            "violations": exc.violations,
-        }
-        print(json.dumps(error), file=sys.stderr)
-        return 1
     except (ValueError, ArithmeticError) as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 1
+        # only a loaded classifier can have raised its error, so an error
+        # from another layer does not load it
+        classifier = sys.modules.get(f"{__package__}.classifier")
+        if classifier is not None and isinstance(exc, classifier.InvalidInvariantsError):
+            return _fail({
+                "admits": False,
+                "reason": "UNREALIZABLE",
+                "error": "invalid manifold invariants",
+                "violations": exc.violations,
+            })
+        return _fail({"error": str(exc)})
     finally:
         if digit_limit is not None:
             sys.set_int_max_str_digits(digit_limit)

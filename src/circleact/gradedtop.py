@@ -16,12 +16,11 @@ a model producing torsion errors out rather than guessing the extension.
 
 from __future__ import annotations
 
-from enum import Enum
 from math import gcd, isqrt
 from operator import add, mul, sub
 from types import MappingProxyType
 
-from ._record import Record, _exact, _set
+from ._record import Family, Record, _exact, _set
 
 __all__ = [
     "IntMatrix",
@@ -266,15 +265,6 @@ class GradedGroup(Record):
             "top_degree": self.top_degree,
             "groups": {str(j): {"rank": r, "torsion": []} for j, r in enumerate(self.ranks)},
         }
-
-
-class Family(str, Enum):
-    """The two orbit-space cohomology rings that can occur: the projective
-    space ring (cup with t hits every even degree) and the ring of a
-    half-projective space times a sphere (cup with t dies at degree n-1)."""
-
-    CPN = "CPN"
-    CPHALF_TIMES_SPHERE = "CPHALF_TIMES_SPHERE"
 
 
 class OrbitModel(Record):

@@ -420,7 +420,13 @@ class SelfTestReport(Record):
 
 
 def run(names: list[str] | None = None) -> SelfTestReport:
-    """Run all checks (or those whose name contains one of ``names``)."""
+    """Run all checks (or those whose name contains one of ``names``).
+
+    A substring of ``names`` that no check name contains is a ValueError
+    naming it, so a mistyped name does not pass with nothing run."""
+    unmatched = [q for q in names or () if not any(q in name for name, _ in CHECKS)]
+    if unmatched:
+        raise ValueError(f"no selftest check name contains {', '.join(map(repr, unmatched))}")
     if not __debug__:
         return SelfTestReport(
             passed=0,

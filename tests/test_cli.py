@@ -250,6 +250,17 @@ def test_selftest_subset(capsys):
     assert "failed 0" in out
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_selftest_unmatched_only_is_an_error(capsys, fmt):
+    # a mistyped name used to print "passed 0, failed 0" and exit 0
+    code, out, err = run(capsys, "selftest", "--only", "zzz", "--only", "surgery",
+                         "--only", "Surgery", "--format", fmt)
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "no selftest check name contains 'zzz', 'Surgery'"}
+    with pytest.raises(ValueError, match="'zzz'"):
+        selftest.run(["zzz"])
+
+
 # Cheap real checks: the CLI path of a full run is tested on these, since
 # tests/test_selftest.py already runs every check once.
 _CHEAP_CHECKS = ("24 divides", "realizability divisor", "l never consulted", "surgery")

@@ -199,6 +199,24 @@ def _check_product_equals_det():
         assert len(factors) == _fraction_rank_det(rows)[0] == 24
 
 
+_CHILD_SECONDS = 60
+
+
+def _check_under_cpu_limit(seconds):
+    """``_check_product_equals_det`` with this process's CPU time capped at
+    ``seconds``, so that the child ends by itself even when the pytest
+    process that started it is killed first."""
+    try:
+        import resource
+    except ImportError:  # no resource module (Windows): the parent's timeout only
+        pass
+    else:
+        _, hard = resource.getrlimit(resource.RLIMIT_CPU)
+        soft = seconds if hard == resource.RLIM_INFINITY else min(seconds, hard)
+        resource.setrlimit(resource.RLIMIT_CPU, (soft, hard))
+    _check_product_equals_det()
+
+
 def test_snf_product_equals_det_where_elimination_blows_up():
     """In a child process with a time limit, so that unbounded coefficient
     growth fails the test instead of hanging the suite."""
@@ -208,8 +226,9 @@ def test_snf_product_equals_det_where_elimination_blows_up():
                     env.get("PYTHONPATH")) if p
     )
     child = subprocess.run(
-        [sys.executable, "-c", "import test_gradedtop; test_gradedtop._check_product_equals_det()"],
-        env=env, capture_output=True, text=True, timeout=60,
+        [sys.executable, "-c",
+         f"import test_gradedtop; test_gradedtop._check_under_cpu_limit({_CHILD_SECONDS})"],
+        env=env, capture_output=True, text=True, timeout=_CHILD_SECONDS,
     )
     assert child.returncode == 0, child.stderr
 

@@ -58,19 +58,105 @@ def test_admits_follows_the_reason(reason):
 
 
 
-def _imported_modules(*args):
-    """Every module a fresh ``python -S`` imports while running ``args``,
-    read from its ``-X importtime`` report.  ``-S`` keeps the host's site
-    hooks out of the list; this checkout's package comes from PYTHONPATH."""
+def _fresh_env():
+    """This environment with this checkout's package first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(circleact.__file__).parent.parent), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def _run_fresh(code):
+    """Run ``code`` in a fresh interpreter; it passes when the code raises nothing."""
     proc = subprocess.run(
-        [sys.executable, "-S", "-X", "importtime", *args],
-        env=env, capture_output=True, text=True, timeout=60,
+        [sys.executable, "-c", code], env=_fresh_env(), capture_output=True, text=True,
+        timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+_LAYERS = _BERNOULLI, _CLASSIFIER, _GENUS, _GRADEDTOP = (
+    "circleact.bernoulli", "circleact.classifier", "circleact.genus", "circleact.gradedtop"
+)
+
+
+def test_import_loads_no_layer():
+    _run_fresh(
+        "import sys, circleact\n"
+        f"assert not set({_LAYERS!r}) & set(sys.modules), sorted(sys.modules)\n"
+        "circleact.__version__\n"
+        f"assert not set({_LAYERS!r}) & set(sys.modules), sorted(sys.modules)\n"
+    )
+
+
+def test_star_import_binds_exactly_all():
+    _run_fresh(
+        "import circleact\n"
+        "from circleact import bernoulli, classifier, genus, gradedtop\n"
+        "bound = {}\n"
+        "exec('from circleact import *', bound)\n"
+        "del bound['__builtins__']\n"
+        "assert sorted(bound) == sorted(circleact.__all__), sorted(bound)\n"
+        "for layer in (bernoulli, classifier, genus, gradedtop):\n"
+        "    for name in layer.__all__:\n"
+        "        assert bound[name] is getattr(layer, name), name\n"
+        "assert bound['__version__'] == circleact.__version__\n"
+    )
+
+
+def test_dir_lists_the_public_surface():
+    _run_fresh(
+        "import circleact\n"
+        "listed = dir(circleact)\n"
+        "assert set(circleact.__all__) <= set(listed), set(circleact.__all__) - set(listed)\n"
+    )
+
+
+def test_unknown_attribute_is_an_attribute_error():
+    _run_fresh(
+        "import circleact\n"
+        "try:\n"
+        "    circleact.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    assert \"'no_such_name'\" in str(exc), exc\n"
+        "else:\n"
+        "    raise AssertionError('no AttributeError')\n"
+        "assert not hasattr(circleact, 'no_such_name')\n"
+        "assert circleact.classify is circleact.classifier.classify\n"
+    )
+
+
+def test_family_is_one_class_under_every_name():
+    _run_fresh(
+        "import circleact, circleact.gradedtop, circleact.classifier\n"
+        "assert circleact.gradedtop.Family is circleact.Family\n"
+        "assert circleact.classifier.Family is circleact.Family\n"
+    )
+
+
+def test_records_round_trip_through_pickle_and_deepcopy():
+    _run_fresh(
+        "import copy, pickle, circleact\n"
+        "result = circleact.classify(circleact.ManifoldInvariants(15, 3, 2419200))\n"
+        "for obj in (circleact.Family.CPN, result.orbit, result):\n"
+        "    assert pickle.loads(pickle.dumps(obj)) == obj, obj\n"
+        "    assert copy.deepcopy(obj) == obj, obj\n"
+        "assert pickle.loads(pickle.dumps(circleact.Family.CPN)) is circleact.Family.CPN\n"
+        "assert pickle.loads(pickle.dumps(result)).orbit.orbit_model() == result.orbit.orbit_model()\n"
+    )
+
+
+def _imported_modules(*args, code=0):
+    """Every module a fresh ``python -S`` imports while running ``args``,
+    which must exit with ``code``, read from its ``-X importtime`` report.
+    ``-S`` keeps the host's site hooks out of the list; this checkout's
+    package comes from PYTHONPATH."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", *args],
+        env=_fresh_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
     return {
         line.rsplit("|", 1)[1].strip()
         for line in proc.stderr.splitlines()
@@ -78,15 +164,41 @@ def _imported_modules(*args):
     }
 
 
-@pytest.mark.parametrize(
-    "args",
-    [["-c", "import circleact.cli"], ["-m", "circleact", "imj", "--k", "3"]],
-    ids=["import", "imj"],
-)
-def test_cold_start_skips_dataclasses_and_inspect(args):
+_CLI = ["-m", "circleact"]
+
+# (argv, modules it must load, modules it must not load)
+_COLD_STARTS = {
+    "import": (["-c", "import circleact.cli"], {"circleact.cli"},
+               {*_LAYERS, "argparse", "json", "fractions"}),
+    "imj": ([*_CLI, "imj", "--k", "3"], {_BERNOULLI},
+            {_CLASSIFIER, _GRADEDTOP, _GENUS, "fractions", "json"}),
+    "classify": ([*_CLI, "classify", "--n", "15", "--bn", "3", "--l", "2419200"],
+                 {_CLASSIFIER, _BERNOULLI}, {_GRADEDTOP, _GENUS, "fractions"}),
+    "divisor": ([*_CLI, "divisor", "--n", "15", "--format", "json"],
+                {_CLASSIFIER, "json"}, {_GRADEDTOP, _GENUS, "fractions"}),
+    "gysin": ([*_CLI, "gysin", "--n", "7", "--family", "CPHALF", "--r", "1"],
+              {_GRADEDTOP}, {_BERNOULLI, _CLASSIFIER, _GENUS}),
+    "ahat": ([*_CLI, "ahat", "--k", "3"], {_GENUS}, {_CLASSIFIER, _GRADEDTOP}),
+    "bernoulli": ([*_CLI, "bernoulli", "--max", "5"], {_BERNOULLI, "fractions"},
+                  {_CLASSIFIER, _GRADEDTOP}),
+}
+
+
+@pytest.mark.parametrize("case", list(_COLD_STARTS))
+def test_cold_start_skips_dataclasses_and_inspect(case):
     """The records are hand-written, so starting the CLI loads neither
-    ``dataclasses`` nor the ``inspect`` it pulls in (about two thirds of
-    the import time when they were used)."""
+    ``dataclasses`` nor the ``inspect`` it pulls in.  Nor does importing
+    ``circleact.cli`` load any layer, ``argparse`` or ``json``: each
+    subcommand loads only the layers it runs."""
+    args, loads, skips = _COLD_STARTS[case]
     modules = _imported_modules(*args)
-    assert "circleact.cli" in modules
-    assert not {"dataclasses", "inspect"} & modules
+    assert {"circleact.cli", *loads} <= modules
+    assert not {"dataclasses", "inspect", *skips} & modules
+
+
+def test_a_domain_error_loads_no_other_layer():
+    """The CLI's error handler tells an ``InvalidInvariantsError`` apart
+    without importing ``classifier`` for it."""
+    modules = _imported_modules(*_CLI, "imj", "--k", "0", code=1)
+    assert {_BERNOULLI, "json"} <= modules
+    assert not {_CLASSIFIER, _GRADEDTOP, _GENUS, "fractions"} & modules
