@@ -36,13 +36,15 @@ def _load() -> None:
 
 
 def __getattr__(name: str):
-    _load()
-    try:
-        return globals()[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    # only once: a later load would undo any rebinding made on the package
+    if "__all__" not in globals():
+        _load()
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    _load()
+    if "__all__" not in globals():
+        _load()
     return list(globals())

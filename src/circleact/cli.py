@@ -155,18 +155,11 @@ def _cmd_bernoulli(args, out) -> int:
     from .bernoulli import table_rows
 
     rows = table_rows(args.max)
-    if args.format == "json":
-        import json
-
-        payload = [
-            {"k": k, "bernoulli": str(b), "den": d, "j_index": j}
-            for k, b, d, j in rows
-        ]
-        print(json.dumps(payload), file=out)
-    else:
-        # CSV with csv.writer's \r\n line ends; no field ever needs quoting
-        lines = ["k,bernoulli,den,j_index", *(",".join(map(str, row)) for row in rows)]
-        out.write("".join(line + "\r\n" for line in lines))
+    payload = [{"k": k, "bernoulli": str(b), "den": d, "j_index": j} for k, b, d, j in rows]
+    # CSV with csv.writer's \r\n line ends (print adds the \n); no field
+    # ever needs quoting
+    lines = ["k,bernoulli,den,j_index\r", *(",".join(map(str, row)) + "\r" for row in rows)]
+    _emit(payload, lines, args.format, out)
     return 0
 
 
@@ -228,19 +221,16 @@ def _cmd_selftest(args, out) -> int:
     from .selftest import run
 
     report = run(args.only)
-    if args.format == "json":
-        import json
-
-        payload = {
-            "passed": report.passed,
-            "failed": report.failed,
-            "failures": [{"name": n, "error": e} for n, e in report.failures],
-        }
-        print(json.dumps(payload), file=out)
-    else:
-        for name, error in report.failures:
-            print(f"FAIL {name}: {error}", file=out)
-        print(f"passed {report.passed}, failed {report.failed}", file=out)
+    payload = {
+        "passed": report.passed,
+        "failed": report.failed,
+        "failures": [{"name": n, "error": e} for n, e in report.failures],
+    }
+    lines = [
+        *(f"FAIL {name}: {error}" for name, error in report.failures),
+        f"passed {report.passed}, failed {report.failed}",
+    ]
+    _emit(payload, lines, args.format, out)
     return 0 if report.ok else 1
 
 
@@ -268,10 +258,9 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         return 1
     except (ValueError, ArithmeticError) as exc:
-        # only a loaded classifier can have raised its error, so an error
-        # from another layer does not load it
-        classifier = sys.modules.get(f"{__package__}.classifier")
-        if classifier is not None and isinstance(exc, classifier.InvalidInvariantsError):
+        from .classifier import InvalidInvariantsError
+
+        if isinstance(exc, InvalidInvariantsError):
             return _fail({
                 "admits": False,
                 "reason": "UNREALIZABLE",
