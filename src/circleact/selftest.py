@@ -103,10 +103,12 @@ def _check_vsc_oracle() -> None:
 
 
 def _check_closed_form_im_j() -> None:
-    # the closed form against the tangent-number table, two independent paths
+    # the sieved table that serves these k and the closed form that serves
+    # larger ones, each against the tangent-number table
     for k in range(1, 401):
-        b = bernoulli.bernoulli_ms(k)
-        assert bernoulli.im_j_order(k) == (b / (4 * k)).denominator, k
+        expected = (bernoulli.bernoulli_ms(k) / (4 * k)).denominator
+        assert bernoulli.im_j_order(k) == expected, k
+        assert bernoulli._im_j_closed_form(k) == expected, k
 
 
 def _check_j_index_divisible_by_24() -> None:

@@ -1,3 +1,5 @@
+import math
+import random
 import re
 import sys
 import threading
@@ -126,6 +128,102 @@ def test_closed_form_needs_no_table(monkeypatch):
     im_j_order(200)
     classify(ManifoldInvariants(n=1023, b_n=3, l=0))
     assert shared.max_index == 0
+
+
+@pytest.fixture
+def empty_j_table(monkeypatch):
+    """The shared image-of-J table emptied for one test, restored after it."""
+    monkeypatch.setattr(bernoulli, "_j_orders", [])
+
+
+def _count_calls(monkeypatch, name):
+    """Rebind bernoulli.<name> to a wrapper that records its arguments."""
+    calls = []
+    original = getattr(bernoulli, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(bernoulli, name, spy)
+    return calls
+
+
+def test_j_table_at_its_cap_equals_the_closed_form(empty_j_table):
+    cap = bernoulli._J_TABLE_CAP
+    assert cap == 4096
+    im_j_order(cap)
+    assert bernoulli._j_orders == [bernoulli._im_j_closed_form(k) for k in range(1, cap + 1)]
+
+
+def test_j_table_serves_k_up_to_its_cap(monkeypatch, empty_j_table):
+    expected = {k: bernoulli._im_j_closed_form(k) for k in (4096, 4097)}
+    factorized = _count_calls(monkeypatch, "_factorize")
+    assert im_j_order(4096) == expected[4096]
+    assert factorized == []
+    assert im_j_order(4097) == expected[4097]
+    assert factorized == [(4097,)]
+
+
+def test_j_table_grows_geometrically_up_to_its_cap(monkeypatch, empty_j_table):
+    built = _count_calls(monkeypatch, "_sieve_j_orders")
+    for k in (10, 3000, 7, 4096):
+        assert im_j_order(k) == bernoulli._im_j_closed_form(k), k
+        assert len(bernoulli._j_orders) <= bernoulli._J_TABLE_CAP
+    assert built == [(10,), (3000,), (4096,)]
+    # asking for every k in turn rebuilds once per doubling
+    monkeypatch.setattr(bernoulli, "_j_orders", [])
+    del built[:]
+    for k in range(1, 4097):
+        im_j_order(k)
+    assert built == [(2**i,) for i in range(13)]
+
+
+def test_concurrent_j_table_readers_get_the_closed_form(empty_j_table):
+    expected = [bernoulli._im_j_closed_form(k) for k in range(1, 4097)]
+    results = {}
+    barrier = threading.Barrier(8, timeout=10)
+
+    def worker(i):
+        barrier.wait()
+        results[i] = [im_j_order(k) for k in range(i + 1, 4097, 8)]
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside a rebuild and its assignment
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i in range(8):
+        assert results[i] == expected[i::8], i
+    assert len(bernoulli._j_orders) <= bernoulli._J_TABLE_CAP
+
+
+def test_classify_sweep_never_factorizes(monkeypatch, empty_j_table):
+    factorized = _count_calls(monkeypatch, "_factorize")
+    ns = list(range(7, 1024, 8))
+    random.Random(7).shuffle(ns)
+    for n in ns:
+        classify(ManifoldInvariants(n=n, b_n=3, l=0))
+    assert factorized == []
+    assert len(bernoulli._j_orders) <= 512
+
+
+def test_closed_form_refuses_too_many_divisors():
+    # the first 16 primes: 2^16 divisors, over the cap, refused before any
+    # is listed; the first 14 (2^14 divisors) are still answered
+    primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+    with pytest.raises(ValueError, match="^k has 65536 divisors, more than the 16384"):
+        im_j_order(math.prod(primes))
+    k = math.prod(primes[:14])
+    start = time.perf_counter()
+    assert _v2(im_j_order(k)) == 3 + _v2(k)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_cold_table_rows_fills_once(monkeypatch):

@@ -111,6 +111,24 @@ def test_imj_domain_error(capsys):
         assert "error" in json.loads(err)
 
 
+@pytest.mark.parametrize(
+    "k",
+    [
+        # the first 18 primes: 2^18 divisors, 8.6 s to list them
+        "117288381359406970983270",
+        # the first 24 primes: 2^24 divisors, more than 1 GiB to list them
+        "23768741896345550770650537601358310",
+    ],
+)
+def test_imj_refuses_a_k_with_too_many_divisors(k):
+    proc = subprocess.run(
+        [sys.executable, "-m", "circleact", "imj", "--k", k],
+        env=_package_env(), capture_output=True, text=True, timeout=2,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "divisors" in json.loads(proc.stderr)["error"]
+
+
 def test_bernoulli_csv(capsys):
     code, out, _ = run(capsys, "bernoulli", "--max", "3")
     assert code == 0
