@@ -149,9 +149,10 @@ def _proven_prime(n: int) -> bool:
 
 
 # Trial division stops below _TRIAL_LIMIT; rho then gets _RHO_STEPS
-# iterations of its map in total, which usually splits a cofactor whose
-# smallest prime factor is below about 2^34 and bounds the time (about
-# 0.25 s) spent on the rest
+# iterations of its map in total, shared by every split of one
+# factorisation, which usually splits a cofactor whose smallest prime
+# factor is below about 2^34 and bounds the time (about 0.25 s) spent on
+# the rest
 _TRIAL_LIMIT = 1 << 20
 _RHO_STEPS = 1 << 18
 # The closed form lists every divisor of k and tests 2d + 1 for each; with
@@ -161,15 +162,15 @@ _RHO_STEPS = 1 << 18
 _DIVISOR_CAP = 1 << 14
 
 
-def _rho_divisor(n: int) -> int:
+def _rho_divisor(n: int, budget: int) -> tuple[int, int]:
     """A proper divisor of the odd composite n by Pollard-Brent rho, batching
-    128 differences per gcd; ValueError once the step budget is spent."""
-    steps = 0
+    128 differences per gcd, and the steps left of ``budget``; ValueError
+    once the budget is spent."""
     for c in count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
-            steps += 2 * r
-            if steps > _RHO_STEPS:
+            budget -= 2 * r
+            if budget < 0:
                 raise ValueError(f"cannot factor {n} within the Pollard-rho step budget")
             x = y
             for _ in range(r):
@@ -189,12 +190,13 @@ def _rho_divisor(n: int) -> int:
                 ys = (ys * ys + c) % n
                 g = gcd(x - ys, n)
         if g != n:
-            return g
+            return g, budget
 
 
 def _factorize(k: int) -> dict[int, int]:
     """Prime factorisation of k >= 1: trial division below 2^20, then each
-    cofactor is proven prime or split by ``_rho_divisor``."""
+    cofactor is proven prime or split by ``_rho_divisor``, every split
+    drawing on one budget of ``_RHO_STEPS``."""
     out: dict[int, int] = {}
     p = 2
     while p * p <= k and p < _TRIAL_LIMIT:
@@ -203,12 +205,13 @@ def _factorize(k: int) -> dict[int, int]:
             out[p] = out.get(p, 0) + 1
         p += 1 if p == 2 else 2
     pending = [k] if k > 1 else []
+    budget = _RHO_STEPS
     while pending:
         m = pending.pop()
         if m < p * p or _proven_prime(m):  # m has no prime factor below p
             out[m] = out.get(m, 0) + 1
         else:
-            d = _rho_divisor(m)
+            d, budget = _rho_divisor(m, budget)
             pending += [d, m // d]
     return out
 

@@ -350,17 +350,22 @@ def _check_classifier_gysin_consistency(dims: tuple[int, ...] = (7, 15)) -> None
 
 
 def _check_kervaire_divides_required() -> None:
-    for n in range(7, 48, 8):
+    # n = 2047 reads the last entry of the (2k-1)! table and n = 2055 calls
+    # math.factorial, the first k past it: each route meets the same oracle
+    for n in (*range(7, 48, 8), 2047, 2055):
         report = classifier.required_divisor(n)
         assert report.required % report.kervaire == 0
-        # k = (n+1)/4 is even, so a_k = 1; the required divisor against the
-        # tangent-number table
+        # k = (n+1)/4 is even, so a_k = 1, and the realizability divisor is
+        # exactly ((n-1)/2)!, doubled in dimension 7
         assert report.k % 2 == 0 and report.a_k == 1
-        b = bernoulli.bernoulli_ms(report.k)
-        assert report.required == factorial((n - 1) // 2) * (b / (n + 1)).denominator
-        if n != 7:
-            # with a_k = 1 the realizability divisor is exactly ((n-1)/2)!
-            assert report.required == report.kervaire * report.j_index
+        step = factorial((n - 1) // 2)
+        assert report.kervaire == (2 * step if n == 7 else step)
+        if n < 48:  # against the tangent-number table
+            j_index = (bernoulli.bernoulli_ms(report.k) / (n + 1)).denominator
+        else:
+            j_index = bernoulli._im_j_closed_form(report.k)
+        assert report.j_index == j_index
+        assert report.required == step * j_index
 
 
 def _check_l_ignored_for_n5() -> None:

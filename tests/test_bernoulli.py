@@ -122,6 +122,48 @@ def test_closed_form_refuses_an_unsplittable_cofactor():
         im_j_order(2305843009213693967 * 2305843009213693973)
 
 
+def _spy_rho_budgets(monkeypatch):
+    """Rebind bernoulli._rho_divisor to a wrapper that records, per split,
+    the budget it was given and the budget it left (None if it raised)."""
+    budgets = []
+    original = bernoulli._rho_divisor
+
+    def spy(n, budget):
+        budgets.append((budget, None))
+        d, left = original(n, budget)
+        budgets[-1] = (budget, left)
+        return d, left
+
+    monkeypatch.setattr(bernoulli, "_rho_divisor", spy)
+    return budgets
+
+
+def test_rho_splits_share_one_step_budget(monkeypatch):
+    # six primes above 2^21: each split takes a few thousand steps, and each
+    # starts from what the one before it left
+    primes = [2097169, 2098171, 2100173, 2103181, 2107199, 2112217]
+    budgets = _spy_rho_budgets(monkeypatch)
+    assert bernoulli._factorize(math.prod(primes)) == dict.fromkeys(primes, 1)
+    assert len(budgets) == 5
+    assert budgets[0][0] == bernoulli._RHO_STEPS
+    for (_, left), (given, _) in zip(budgets, budgets[1:]):
+        assert given == left
+    assert 0 < budgets[-1][1] < bernoulli._RHO_STEPS
+
+
+def test_rho_refuses_splits_that_together_overrun_the_budget(monkeypatch):
+    # six primes near 2^30: the five splits take 65534, 65534, 65534, 65534
+    # and 131070 steps, each within 2^18 alone but not together
+    primes = [1073741827, 1073742851, 1073744863, 1073747953, 1073751971, 1073756993]
+    budgets = _spy_rho_budgets(monkeypatch)
+    with pytest.raises(ValueError, match="step budget"):
+        bernoulli._factorize(math.prod(primes))
+    *answered, (given, left) = budgets
+    assert len(answered) == 4 and left is None
+    assert [g - l for g, l in answered] == [65534] * 4
+    assert given == bernoulli._RHO_STEPS - 4 * 65534
+
+
 def test_closed_form_needs_no_table(monkeypatch):
     shared = BernoulliTable()
     monkeypatch.setattr(bernoulli, "_SHARED", shared)

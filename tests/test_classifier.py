@@ -1,4 +1,7 @@
 import json
+import random
+import sys
+import threading
 import warnings
 from math import factorial
 
@@ -15,6 +18,7 @@ from circleact.classifier import (
     validate,
 )
 from circleact import selftest
+from circleact.bernoulli import im_j_order
 from circleact.gradedtop import Family, standard_orbit_model
 
 
@@ -48,8 +52,14 @@ def test_classify_computes_the_divisor_once(monkeypatch):
     assert result.admits and calls == [15]
 
 
-def test_required_divisor_builds_one_factorial(monkeypatch):
-    # ((n-1)/2)! and (2k-1)! are the same number
+@pytest.fixture
+def empty_step_table(monkeypatch):
+    """The shared (2k-1)! table emptied for one test, restored after it."""
+    monkeypatch.setattr(classifier, "_step_factorials", [])
+
+
+def _count_factorials(monkeypatch):
+    """Rebind classifier.factorial to a wrapper that records its arguments."""
     calls = []
 
     def counting(m):
@@ -57,11 +67,91 @@ def test_required_divisor_builds_one_factorial(monkeypatch):
         return factorial(m)
 
     monkeypatch.setattr(classifier, "factorial", counting)
-    for n in (7, 15, 23, 1023):
+    return calls
+
+
+def test_required_divisor_builds_one_factorial(monkeypatch, empty_step_table):
+    # ((n-1)/2)! and (2k-1)! are the same number: once the table covers k it
+    # is one read, and past the cap (k = 514 at n = 2055) one math.factorial
+    calls = _count_factorials(monkeypatch)
+    required_divisor(2047)
+    for n in (7, 15, 23, 1023, 2055):
         calls.clear()
         report = required_divisor(n)
-        assert calls == [(n - 1) // 2]
+        assert calls == ([(n - 1) // 2] if n > 2047 else [])
         assert report.required == factorial((n - 1) // 2) * report.j_index
+
+
+def test_step_table_at_its_cap_equals_math_factorial(empty_step_table):
+    cap = classifier._STEP_TABLE_CAP
+    assert cap == 512
+    required_divisor(4 * cap - 1)
+    assert classifier._step_factorials == [factorial(2 * k - 1) for k in range(1, cap + 1)]
+
+
+def test_step_table_grows_to_the_k_asked_up_to_its_cap(monkeypatch, empty_step_table):
+    calls = _count_factorials(monkeypatch)
+    longest = 0
+    for k in (10, 300, 7, 301, 512, 513, 2000):
+        before = classifier._step_factorials
+        assert classifier._step_factorial(k) == factorial(2 * k - 1), k
+        longest = max(longest, min(k, 512))
+        after = classifier._step_factorials
+        assert len(after) == longest
+        # an extension keeps the very entries it had and only appends
+        assert all(a is b for a, b in zip(before, after))
+    assert calls == [1025, 3999]
+
+
+def test_concurrent_step_table_readers_get_math_factorial(empty_step_table):
+    results = {}
+    barrier = threading.Barrier(8, timeout=10)
+
+    def worker(i):
+        barrier.wait()
+        results[i] = [classifier._step_factorial(k) for k in range(i + 1, 513, 8)]
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside an extension and its assignment
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i in range(8):
+        assert results[i] == [factorial(2 * k - 1) for k in range(i + 1, 513, 8)], i
+    assert len(classifier._step_factorials) <= 512
+
+
+def test_classify_sweep_never_calls_math_factorial(monkeypatch, empty_step_table):
+    calls = _count_factorials(monkeypatch)
+    ns = list(range(7, 1024, 8))
+    random.Random(7).shuffle(ns)
+    for n in ns:
+        classify(ManifoldInvariants(n=n, b_n=3, l=0))
+    assert calls == []
+    assert len(classifier._step_factorials) == 256
+
+
+@pytest.mark.parametrize("filled_to", [0, 100, 512])
+def test_required_divisor_is_the_same_from_any_table_state(monkeypatch, filled_to):
+    # cold, partly filled and full: each n = 7 (mod 8) up to 2063, on both
+    # sides of the cap, against ((n-1)/2)! from math.factorial
+    monkeypatch.setattr(classifier, "_step_factorials", [])
+    if filled_to:
+        classifier._step_factorial(filled_to)
+    for n in range(7, 2064, 8):
+        k = (n + 1) // 4
+        step = factorial((n - 1) // 2)
+        j_index = im_j_order(k)
+        assert required_divisor(n).to_json_dict() == {
+            "n": n, "k": k, "a_k": 1, "kervaire": 2 * step if n == 7 else step,
+            "j_index": j_index, "required": step * j_index,
+        }, n
 
 
 def test_required_divisor_n15():
