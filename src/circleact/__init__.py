@@ -6,11 +6,11 @@ and Gysin-sequence cohomology of circle bundles).
 
 The package re-exports every public name of its layer modules; each
 module's ``__all__`` is the one declaration of its surface.  Only
-``__version__`` is bound on import: the first access to any other
+``__version__`` is bound on import: the first access to any other public
 attribute (``__all__``, ``dir()`` and ``from circleact import *``
 included) loads the four layers and binds their names, so ``import
-circleact`` or ``import circleact.cli`` stays cheap until a public name
-is touched."""
+circleact``, ``import circleact.cli`` or ``from circleact import cli``
+stays cheap until a public name is touched."""
 
 __version__ = "0.1.0"
 
@@ -36,8 +36,11 @@ def _load() -> None:
 
 
 def __getattr__(name: str):
-    # only once: a later load would undo any rebinding made on the package
-    if "__all__" not in globals():
+    # only once: a later load would undo any rebinding made on the package.
+    # ``from circleact import cli`` asks here first, so a private name or a
+    # submodule that is not a layer loads nothing
+    public = name == "__all__" or not (name.startswith("_") or name in ("cli", "selftest"))
+    if public and "__all__" not in globals():
         _load()
         if name in globals():
             return globals()[name]

@@ -1,4 +1,4 @@
-"""Immutable value records on ``__slots__``.
+"""Immutable value records on ``__slots__``, and the memo tables' holder.
 
 A record class declares its fields once, as ``__slots__`` in declaration
 order, and writes its own ``__init__`` that stores each field with
@@ -72,6 +72,31 @@ class Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+class _Table:
+    """A memo table that grows from its end, entry k at index k - 1.
+
+    It keeps one ``(values, carry)`` pair: the entries, and what ``extend``
+    needs to go on from the last.  ``upto(k)`` returns a list of at least k
+    entries; a shorter table calls ``extend(values, carry, k)`` once for a
+    new pair, the old entries first, and publishes it in one assignment.
+    The caller bounds k.  No lock is needed: a concurrent reader holds one
+    complete pair or the other.  A racing extension may publish a shorter
+    pair last, so a caller reads only the list ``upto`` returned.
+    """
+
+    __slots__ = ("extend", "state")
+
+    def __init__(self, extend) -> None:
+        self.extend = extend
+        self.state = ([], None)
+
+    def upto(self, k: int) -> list:
+        values, carry = self.state
+        if len(values) < k:
+            self.state = values, carry = self.extend(values, carry, k)
+        return values
 
 
 class Family(str, Enum):

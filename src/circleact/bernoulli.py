@@ -22,22 +22,19 @@ and Adams (On the groups J(X) IV, Topology 5, 1966),
     den(B_k / 4k) = 2^{3 + v_2(k)} * prod_{odd prime p, (p-1) | 2k} p^{1 + v_p(k)},
 
 so ``classifier.classify`` never touches the Bernoulli table.  For
-k <= 4096 the value is read from a second table, which one sieve over
-the primes up to 2K + 1 fills for every k <= K at once; it is rebuilt,
-at least twice as long and at most 4096 entries, when a caller asks past
-its end.  Larger k take the closed form evaluated from the factorisation
-of k, which trial-divides below 2^20, splits what is left with
-Pollard-Brent rho under a fixed step budget and refuses a k with more
+k <= 4096 the value is read from a second table, which a sieve over the
+new entries extends to at least twice its length.  Larger k take the
+closed form evaluated from the factorisation of k, which trial-divides
+below 2^20, splits what is left with Pollard-Brent rho under a fixed step budget and refuses a k with more
 than 2^14 divisors, so every k is answered or refused quickly.
 """
 
 from __future__ import annotations
 
-import threading
 from itertools import count
 from math import gcd, prod
 
-from ._record import _exact
+from ._record import _Table, _exact
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
 if TYPE_CHECKING:
@@ -51,61 +48,55 @@ __all__ = [
 ]
 
 
+def _bernoulli_rows(rows: list, col: list[int] | None, upto: int) -> tuple[list, list[int]]:
+    """Rows 1..upto from rows 1..K and column K of Brent-Harvey's
+    recurrence, whose entry j is T_K after pass j + 1 (None for K = 0)."""
+    # im_j_order never fills the table, so a process that only asks for it
+    # never loads fractions
+    from fractions import Fraction
+
+    # Column i follows from column i - 1: t_i(1) = (i-1) t_{i-1}(1) and
+    # t_i(j) = (i-j) t_{i-1}(j) + (i-j+2) t_i(j-1) for j = 2..i, where
+    # t_i(j) is T_i after pass j of the in-place recurrence
+    rows = rows[:]
+    for i in range(len(rows) + 1, upto + 1):
+        if i == 1:
+            col = [1]
+        else:
+            prev = (i - 1) * col[0]
+            nxt = [prev]
+            for a, c in zip(range(i - 2, 0, -1), col[1:]):
+                prev = a * c + (a + 2) * prev
+                nxt.append(prev)
+            nxt.append(2 * prev)
+            col = nxt
+        b = Fraction(2 * i * col[-1], 4**i * (4**i - 1))
+        # B_i = num/den, num odd: den(B_i/4i) = 4i den / gcd(num, 4i) = 4i den / gcd(num, i)
+        num, den = b.numerator, b.denominator
+        rows.append((i, b, den, 4 * i * den // gcd(num, i)))
+    return rows, col
+
+
 class BernoulliTable:
     """Memoized Bernoulli numbers, extended on demand.
 
-    Each k is stored once as a complete row (k, B_k, den(B_k), den(B_k/4k)),
-    so a repeated ``table_rows`` is a slice of the memo.  Extension is
-    serialized behind a lock; the rows are tuples of immutable values, so
-    any number of concurrent readers is safe.
+    Each k is stored once as a complete row (k, B_k, den(B_k), den(B_k/4k))
+    of immutable values, so a repeated ``table_rows`` is a slice of the memo.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._rows: list[tuple[int, Fraction, int, int]] = []  # row k at index k - 1
-        # Brent-Harvey's recurrence on column K = max_index: entry j is T_K
-        # after pass j + 1; the last entry is T_K itself
-        self._column: list[int] = []
+        self._rows = _Table(_bernoulli_rows)
 
     @property
     def max_index(self) -> int:
         """Largest k whose B_k is currently cached."""
-        return len(self._rows)
-
-    def _extend(self, upto: int) -> None:
-        # im_j_order never fills the table, so a process that only asks
-        # for it never loads fractions
-        from fractions import Fraction
-
-        # Column i follows from column i - 1: t_i(1) = (i-1) t_{i-1}(1) and
-        # t_i(j) = (i-j) t_{i-1}(j) + (i-j+2) t_i(j-1) for j = 2..i, where
-        # t_i(j) is T_i after pass j of the in-place recurrence
-        col, rows = self._column, self._rows
-        for i in range(len(rows) + 1, upto + 1):
-            if i == 1:
-                col = [1]
-            else:
-                prev = (i - 1) * col[0]
-                nxt = [prev]
-                for a, c in zip(range(i - 2, 0, -1), col[1:]):
-                    prev = a * c + (a + 2) * prev
-                    nxt.append(prev)
-                nxt.append(2 * prev)
-                col = nxt
-            b = Fraction(2 * i * col[-1], 4**i * (4**i - 1))
-            # B_i = num/den, num odd: den(B_i/4i) = 4i den / gcd(num, 4i) = 4i den / gcd(num, i)
-            num, den = b.numerator, b.denominator
-            rows.append((i, b, den, 4 * i * den // gcd(num, i)))
-        self._column = col
+        return len(self._rows.state[0])
 
     def value(self, k: int) -> Fraction:
         """B_k in the positive convention; always > 0."""
         if _exact(k, int, "k") < 1:
             raise ValueError("index starts at 1")
-        with self._lock:
-            if len(self._rows) < k:
-                self._extend(k)
-            return self._rows[k - 1][1]
+        return self._rows.upto(k)[k - 1][1]
 
 
 _SHARED = BernoulliTable()
@@ -235,66 +226,62 @@ def _im_j_closed_form(k: int) -> int:
     return out
 
 
-def _sieve_j_orders(size: int) -> list[int]:
-    """den(B_k / 4k) for k = 1..size (entry k - 1), from one sieve over the
-    primes up to 2 size + 1."""
+# k up to this cap (n = 7 mod 8 up to 16383) is read from the sieved table.
+# The cap bounds what one request can make the process build and keep: the
+# full table took 1.8-3.1 ms and holds about 155 KB (Python 3.11, Xeon
+# x86-64), both growing faster than K; the closed form takes about 5 us
+_J_TABLE_CAP = 4096
+
+
+def _sieve_j_orders(values: list[int], carry: None, k: int) -> tuple[list[int], None]:
+    """den(B_k / 4k) at index k - 1: the K ``values``, then the entries up to
+    size = max(k, 2K), at most the cap, from one sieve over the primes up to
+    2 size + 1 that multiplies only the new entries.  The sieve walks every
+    odd number up to there, so growing to exactly k would cost a pass per k:
+    k = 1..4096 asked in turn took 1.36 s that way, 4.8 ms doubling."""
+    first = len(values) + 1
+    size = min(max(k, 2 * len(values)), _J_TABLE_CAP)
     limit = 2 * size + 1
     composite = bytearray(limit + 1)
-    out = [8 * (k & -k) for k in range(1, size + 1)]  # 2^{3 + v_2(k)}
+    out = values + [8 * (j & -j) for j in range(first, size + 1)]  # 2^{3 + v_2(j)}
     for p in range(3, limit + 1, 2):
         if composite[p]:
             continue
         if p * p <= limit:
             composite[p * p :: 2 * p] = b"\1" * len(range(p * p, limit + 1, 2 * p))
         # p enters once for each k that (p-1)/2 divides, then once more for
-        # each power of p dividing k ((p-1)/2 is prime to p)
+        # each power of p dividing k ((p-1)/2 is prime to p); the first
+        # multiple of step at or past the first new k starts each pass
         step = (p - 1) // 2
         while step <= size:
-            for i in range(step - 1, size, step):
+            for i in range(-(-first // step) * step - 1, size, step):
                 out[i] *= p
             step *= p
-    return out
+    return out, carry
 
 
-# k up to this cap is served from the sieved table, every n = 7 (mod 8)
-# decision up to n = 16383 among them.  The cap bounds what one request can
-# make the process build and keep: the full table took 1.8-3.1 ms and holds
-# about 155 KB (Python 3.11, Xeon x86-64), and both grow faster than K,
-# while the closed form answers one k in about 5 us
-_J_TABLE_CAP = 4096
-# den(B_k / 4k) at index k - 1 for k = 1..len(_j_orders).  A rebuild makes
-# a whole new list and replaces this one in a single assignment, so a
-# concurrent reader holds either list, each complete.  Two threads may
-# rebuild at once, and the later assignment may leave the shorter list; a
-# later call then rebuilds again, and every value is still right
-_j_orders: list[int] = []
+_j_orders = _Table(_sieve_j_orders)
 
 
 def im_j_order(k: int) -> int:
     """den(B_k / 4k): the index of the image of the stable J-homomorphism
     in pi_{4k}(BO) = Z.  (24, 240, 504, 480, 264, 65520, ... for k >= 1.)
 
-    For k <= 4096 the value is read from a table sieved in one pass for
-    every index up to at least k; asking past its end rebuilds it at least
-    twice as long, up to 4096 entries.  Larger k take the closed form of
-    von Staudt-Clausen and Adams, evaluated from the factorisation of k.
+    For k <= 4096 the value is read from a sieved table; larger k take the
+    closed form of von Staudt-Clausen and Adams, evaluated from the
+    factorisation of k.
     """
-    global _j_orders
     if _exact(k, int, "k") < 1:
         raise ValueError("index starts at 1")
-    table = _j_orders
-    if k > len(table):
-        if k > _J_TABLE_CAP:
-            return _im_j_closed_form(k)
-        table = _j_orders = _sieve_j_orders(min(max(k, 2 * len(table)), _J_TABLE_CAP))
-    return table[k - 1]
+    if k > _J_TABLE_CAP:
+        return _im_j_closed_form(k)
+    return _j_orders.upto(k)[k - 1]
 
 
 def table_rows(max_index: int) -> list[tuple[int, Fraction, int, int]]:
     """Rows (k, B_k, den(B_k), den(B_k/4k)) for k = 1..max_index, as a
     fresh list: a slice of the shared table's memoized rows."""
-    # at most one extension; BernoulliTable.value refuses an index below 1
-    bernoulli_ms(_exact(max_index, int, "max_index"))
     table = _SHARED
-    with table._lock:
-        return table._rows[:max_index]
+    # the fill runs in BernoulliTable.value, which refuses an index below 1
+    table.value(_exact(max_index, int, "max_index"))
+    return table._rows.upto(max_index)[:max_index]

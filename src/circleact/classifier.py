@@ -15,13 +15,9 @@ Admitting results carry a witness decomposition (the connected-sum normal
 form of the manifold) and an orbit recipe that the Gysin engine can turn
 back into the input invariants.
 
-The factor ((n-1)/2)! = (2k-1)! of the divisor is read, for k <= 512
-(every n <= 2047), from a module-level table of (2k-1)!.  A k past its end
-extends it to exactly k from its last entry, so a process pays one pass of
-small multiplications up to its largest k; the full table took 0.14-0.37 ms
-to build and holds 285 KiB.  An extension builds a new list and replaces
-the old one in a single assignment, so a concurrent reader holds either
-list, each complete.  Larger k call ``math.factorial``.
+For k <= 512 (every n <= 2047) the factor ((n-1)/2)! = (2k-1)! of the
+divisor is read from a table of (2k-1)! that a k past its end extends to
+exactly k; larger k call ``math.factorial``.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ from __future__ import annotations
 from enum import Enum
 from math import factorial
 
-from ._record import Family, Record, _exact, _set
+from ._record import Family, Record, _Table, _exact, _set
 from .bernoulli import im_j_order
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
@@ -217,37 +213,31 @@ class InvalidInvariantsError(ValueError):
         self.violations = list(violations)
 
 
-# k up to this cap, every n = 7 (mod 8) up to n = 2047, reads (2k-1)! from
-# the table below.  The cap bounds what one request can make the process
-# build and keep: the full table took 0.14-0.37 ms to build and holds
-# 285 KiB (67 KiB at k = 256; Python 3.11, Xeon x86-64), where k = 1024
-# would hold 1.24 MiB; past the cap math.factorial answers one k alone
+# The cap bounds what one request can make the process build and keep: the
+# full table took 0.14-0.37 ms to build and holds 285 KiB (67 KiB at
+# k = 256; Python 3.11, Xeon x86-64), where k = 1024 would hold 1.24 MiB
 _STEP_TABLE_CAP = 512
-# (2k-1)! at index k - 1 for k = 1..len(_step_factorials).  An extension
-# makes a whole new list from the old one and its new entries and replaces
-# the old one in a single assignment, so a concurrent reader holds either
-# list, each complete.  Two threads may extend at once, and the later
-# assignment may leave the shorter list; a later call then extends it
-# again, and every value is still right
-_step_factorials: list[int] = []
+
+
+def _extend_step_factorials(table: list[int], carry: None, k: int) -> tuple[list[int], None]:
+    # (2j-1)! = (2j-3)! (2j-2)(2j-1) from the last entry on, up to j = k
+    grown = table[:] or [1]  # (2*1 - 1)! = 1
+    f = grown[-1]
+    for j in range(len(grown) + 1, k + 1):
+        f *= (2 * j - 2) * (2 * j - 1)
+        grown.append(f)
+    return grown, carry
+
+
+_step_factorials = _Table(_extend_step_factorials)  # (2k-1)! at index k - 1
 
 
 def _step_factorial(k: int) -> int:
-    """(2k-1)! for k >= 1: read from the table for k <= 512, extending it to
-    exactly k from its last entry, (2j-1)! = (2j-3)! (2j-2)(2j-1); larger k
-    take ``math.factorial``, which raises OverflowError beyond the C long."""
-    global _step_factorials
-    table = _step_factorials
-    if k > len(table):
-        if k > _STEP_TABLE_CAP:
-            return factorial(2 * k - 1)
-        grown = table[:] or [1]  # (2*1 - 1)! = 1
-        f = grown[-1]
-        for j in range(len(grown) + 1, k + 1):
-            f *= (2 * j - 2) * (2 * j - 1)
-            grown.append(f)
-        table = _step_factorials = grown
-    return table[k - 1]
+    """(2k-1)! for k >= 1; past the table ``math.factorial``, which raises
+    OverflowError beyond the C long."""
+    if k > _STEP_TABLE_CAP:
+        return factorial(2 * k - 1)
+    return _step_factorials.upto(k)[k - 1]
 
 
 def required_divisor(n: int) -> DivisorReport:

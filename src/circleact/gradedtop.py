@@ -240,14 +240,6 @@ class GradedGroup(Record):
         if min(ranks) < 0:
             raise ValueError("ranks must be nonnegative")
 
-    @classmethod
-    def from_ranks(cls, top_degree: int, ranks: dict[int, int]) -> "GradedGroup":
-        _exact(top_degree, int, "top_degree")
-        for j in ranks:
-            if not 0 <= _exact(j, int, "degree") <= top_degree:
-                raise ValueError(f"degree {j} outside 0..{top_degree}")
-        return cls(tuple(ranks.get(j, 0) for j in range(top_degree + 1)))
-
     @property
     def top_degree(self) -> int:
         return len(self.ranks) - 1
@@ -258,7 +250,7 @@ class GradedGroup(Record):
         return ((),) * len(self.ranks)
 
     def rank(self, j: int) -> int:
-        return self.ranks[j] if 0 <= j < len(self.ranks) else 0
+        return self.ranks[j] if 0 <= _exact(j, int, "degree") < len(self.ranks) else 0
 
     def to_json_dict(self) -> dict:
         return {

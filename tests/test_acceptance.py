@@ -88,7 +88,7 @@ def test_criterion_5_gysin_known_spaces():
     # total space over the plain projective model is the sphere S^{2n+1}
     for n in (5, 7, 15):
         h = gysin_total_space(standard_orbit_model(n, Family.CPN, 0))
-        assert h == GradedGroup.from_ranks(2 * n + 1, {0: 1, 2 * n + 1: 1})
+        assert h == GradedGroup((1,) + (0,) * (2 * n) + (1,))
 
     for n in (5, 7, 15):
         for r in (1, 2, 3):

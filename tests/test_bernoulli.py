@@ -5,10 +5,14 @@ import sys
 import threading
 import time
 from fractions import Fraction
+from functools import cache
+from types import SimpleNamespace
 
 import pytest
 
 import circleact.bernoulli as bernoulli
+import circleact.classifier as classifier
+from circleact._record import _Table
 from circleact.bernoulli import BernoulliTable, bernoulli_ms, im_j_order, table_rows
 from circleact.classifier import ManifoldInvariants, classify, required_divisor
 from circleact.genus import multiplicative_sequence
@@ -172,10 +176,116 @@ def test_closed_form_needs_no_table(monkeypatch):
     assert shared.max_index == 0
 
 
-@pytest.fixture
-def empty_j_table(monkeypatch):
-    """The shared image-of-J table emptied for one test, restored after it."""
-    monkeypatch.setattr(bernoulli, "_j_orders", [])
+def _fresh_table(monkeypatch, module, name):
+    """The shared table ``module.name`` emptied for one test, restored after it."""
+    table = _Table(getattr(module, name).extend)
+    monkeypatch.setattr(module, name, table)
+    return table
+
+
+def _fresh_bernoulli_rows(monkeypatch):
+    shared = BernoulliTable()
+    monkeypatch.setattr(bernoulli, "_SHARED", shared)
+    return shared._rows
+
+
+@cache
+def _recurrence_150():
+    return fraction_recurrence(150)
+
+
+# the three memo tables: (empty the shared table for one test and return
+# it, read entry k, the largest k the table holds, its slow path, the k past
+# that cap to ask, whether an extension at least doubles the table).  The
+# Bernoulli rows have no cap; 150 is as far as the slow path is run
+TABLES = {
+    "j_orders": (
+        lambda mp: _fresh_table(mp, bernoulli, "_j_orders"), im_j_order, 4096,
+        bernoulli._im_j_closed_form, (4097, 16384), True),
+    "step_factorials": (
+        lambda mp: _fresh_table(mp, classifier, "_step_factorials"), classifier._step_factorial,
+        512, lambda k: math.factorial(2 * k - 1), (513, 2048), False),
+    "bernoulli_rows": (
+        _fresh_bernoulli_rows, bernoulli_ms, 150, lambda k: _recurrence_150()[k - 1], (), False),
+}
+
+
+@pytest.fixture(params=list(TABLES))
+def table(request, monkeypatch):
+    fresh, read, cap, slow, past_cap, doubles = TABLES[request.param]
+    memo = fresh(monkeypatch)
+    calls = []  # (entries before, k asked) for each extension
+    extend = memo.extend
+
+    def spy(values, carry, k):
+        calls.append((len(values), k))
+        return extend(values, carry, k)
+
+    memo.extend = spy
+    return SimpleNamespace(memo=memo, calls=calls, read=read, cap=cap, slow=slow,
+                           past_cap=past_cap, doubles=doubles)
+
+
+def test_table_at_its_cap_equals_the_slow_path(table):
+    cap = table.cap
+    table.read(cap)
+    assert table.calls == [(0, cap)] and len(table.memo.state[0]) == cap
+    assert [table.read(k) for k in range(1, cap + 1)] == [table.slow(k) for k in range(1, cap + 1)]
+    assert len(table.calls) == 1
+
+
+def test_table_grows_to_the_k_asked_up_to_its_cap(table):
+    cap = table.cap
+    for k in (10, cap // 2, 7, cap // 2 + 1, cap, *table.past_cap):
+        before = table.memo.state[0]
+        del table.calls[:]
+        assert table.read(k) == table.slow(k), k
+        after = table.memo.state[0]
+        size = len(before)
+        if size < k <= cap:
+            assert table.calls == [(size, k)], k  # one extension, over the new range only
+            size = min(max(k, 2 * size), cap) if table.doubles else k
+        else:
+            assert table.calls == [], k
+        assert len(after) == size, k
+        # an extension keeps the very entries it had and only appends
+        assert all(a is b for a, b in zip(before, after)), k
+
+
+def _race(target, args):
+    """Run ``target(*a)`` for each ``a`` in ``args`` on its own thread, all
+    released at once, switching threads every microsecond."""
+    barrier = threading.Barrier(len(args), timeout=10)
+
+    def run(*a):
+        barrier.wait()
+        target(*a)
+
+    threads = [threading.Thread(target=run, args=a) for a in args]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside an extension and its assignment
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+
+
+def test_concurrent_readers_get_the_slow_path(table):
+    cap = table.cap
+    expected = [table.slow(k) for k in range(1, cap + 1)]
+    results = {}
+
+    def worker(i):
+        results[i] = [table.read(k) for k in range(i + 1, cap + 1, 8)]
+
+    _race(worker, [(i,) for i in range(8)])
+    for i in range(8):
+        assert results[i] == expected[i::8], i
+    assert len(table.memo.state[0]) <= cap
 
 
 def _count_calls(monkeypatch, name):
@@ -191,14 +301,8 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def test_j_table_at_its_cap_equals_the_closed_form(empty_j_table):
-    cap = bernoulli._J_TABLE_CAP
-    assert cap == 4096
-    im_j_order(cap)
-    assert bernoulli._j_orders == [bernoulli._im_j_closed_form(k) for k in range(1, cap + 1)]
-
-
-def test_j_table_serves_k_up_to_its_cap(monkeypatch, empty_j_table):
+def test_j_table_serves_k_up_to_its_cap(monkeypatch):
+    _fresh_table(monkeypatch, bernoulli, "_j_orders")
     expected = {k: bernoulli._im_j_closed_form(k) for k in (4096, 4097)}
     factorized = _count_calls(monkeypatch, "_factorize")
     assert im_j_order(4096) == expected[4096]
@@ -207,53 +311,15 @@ def test_j_table_serves_k_up_to_its_cap(monkeypatch, empty_j_table):
     assert factorized == [(4097,)]
 
 
-def test_j_table_grows_geometrically_up_to_its_cap(monkeypatch, empty_j_table):
-    built = _count_calls(monkeypatch, "_sieve_j_orders")
-    for k in (10, 3000, 7, 4096):
-        assert im_j_order(k) == bernoulli._im_j_closed_form(k), k
-        assert len(bernoulli._j_orders) <= bernoulli._J_TABLE_CAP
-    assert built == [(10,), (3000,), (4096,)]
-    # asking for every k in turn rebuilds once per doubling
-    monkeypatch.setattr(bernoulli, "_j_orders", [])
-    del built[:]
-    for k in range(1, 4097):
-        im_j_order(k)
-    assert built == [(2**i,) for i in range(13)]
-
-
-def test_concurrent_j_table_readers_get_the_closed_form(empty_j_table):
-    expected = [bernoulli._im_j_closed_form(k) for k in range(1, 4097)]
-    results = {}
-    barrier = threading.Barrier(8, timeout=10)
-
-    def worker(i):
-        barrier.wait()
-        results[i] = [im_j_order(k) for k in range(i + 1, 4097, 8)]
-
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads inside a rebuild and its assignment
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    for i in range(8):
-        assert results[i] == expected[i::8], i
-    assert len(bernoulli._j_orders) <= bernoulli._J_TABLE_CAP
-
-
-def test_classify_sweep_never_factorizes(monkeypatch, empty_j_table):
+def test_classify_sweep_never_factorizes(monkeypatch):
+    j_orders = _fresh_table(monkeypatch, bernoulli, "_j_orders")
     factorized = _count_calls(monkeypatch, "_factorize")
     ns = list(range(7, 1024, 8))
     random.Random(7).shuffle(ns)
     for n in ns:
         classify(ManifoldInvariants(n=n, b_n=3, l=0))
     assert factorized == []
-    assert len(bernoulli._j_orders) <= 512
+    assert 256 <= len(j_orders.state[0]) <= 512
 
 
 def test_closed_form_refuses_too_many_divisors():
@@ -268,47 +334,8 @@ def test_closed_form_refuses_too_many_divisors():
     assert time.perf_counter() - start < 1.0
 
 
-def test_cold_table_rows_fills_once(monkeypatch):
-    oracle = fraction_recurrence(70)
-    shared = BernoulliTable()
-    monkeypatch.setattr(bernoulli, "_SHARED", shared)
-    extend = BernoulliTable._extend
-    fills = []
-
-    def counting(self, upto):
-        fills.append((self.max_index, upto))
-        extend(self, upto)
-
-    monkeypatch.setattr(BernoulliTable, "_extend", counting)
-    rows = table_rows(60)
-    assert fills == [(0, 60)]
-    assert [b for _, b, _, _ in rows] == oracle[:60]
-    table_rows(70)  # extends by the ten new columns only
-    assert fills == [(0, 60), (60, 70)]
-    assert shared.value(70) == oracle[69]
-
-
 def test_j_index_divisible_by_24():
     selftest._check_j_index_divisible_by_24()
-
-
-def test_table_extends_on_demand():
-    table = BernoulliTable()
-    assert table.value(3) == bernoulli_ms(3)
-    assert table.max_index >= 3
-    assert table.value(10) == bernoulli_ms(10)
-    assert table.max_index >= 10
-
-
-def test_table_extends_only_past_its_end(monkeypatch):
-    table = BernoulliTable()
-    calls = []
-    extend = table._extend
-    monkeypatch.setattr(table, "_extend", lambda upto: (calls.append(upto), extend(upto)))
-    table.value(5)
-    table.value(5)
-    table.value(3)
-    assert calls == [5]
 
 
 def test_table_rejects_bad_index():
@@ -341,22 +368,6 @@ def test_table_rows_reads_the_shared_table(monkeypatch):
     assert shared.max_index == 5
 
 
-def test_concurrent_readers_extend_consistently():
-    table = BernoulliTable()
-    results = []
-
-    def worker():
-        results.append(table.value(25))
-
-    threads = [threading.Thread(target=worker) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len(set(results)) == 1
-    assert results[0] == bernoulli_ms(25)
-
-
 def _recomputed_rows(max_index):
     """Rows from a fresh table, one B_k at a time, den(B_k/4k) by Fraction
     division."""
@@ -378,6 +389,25 @@ def test_table_rows_equal_a_fresh_recomputation_after_fills(monkeypatch, fills):
         assert table_rows(k) == expected[:k], k
 
 
+def test_table_rows_slices_its_own_fill_after_a_racing_shorter_one(monkeypatch):
+    # a racing fill of ten rows publishes its pair after this call's fill:
+    # table_rows must not re-read the shared rows and return ten
+    monkeypatch.setattr(bernoulli, "_SHARED", BernoulliTable())
+    short = BernoulliTable()
+    short.value(10)
+    value = BernoulliTable.value
+
+    def fill_then_lose_the_race(self, k):
+        b = value(self, k)
+        self._rows.state = short._rows.state
+        return b
+
+    monkeypatch.setattr(BernoulliTable, "value", fill_then_lose_the_race)
+    rows = table_rows(60)
+    assert [k for k, _, _, _ in rows] == list(range(1, 61))
+    assert [b for _, b, _, _ in rows] == _recurrence_150()[:60]
+
+
 def test_mutating_returned_rows_leaves_the_memo_intact(monkeypatch):
     monkeypatch.setattr(bernoulli, "_SHARED", BernoulliTable())
     rows = table_rows(20)
@@ -394,23 +424,11 @@ def test_concurrent_table_rows_return_equal_prefixes(monkeypatch):
     monkeypatch.setattr(bernoulli, "_SHARED", BernoulliTable())
     sizes = [150, 3, 60, 120, 1, 90, 150, 45]
     results = {}
-    barrier = threading.Barrier(len(sizes), timeout=10)
 
     def worker(i, k):
-        barrier.wait()
         results[i] = table_rows(k)
 
-    threads = [threading.Thread(target=worker, args=(i, k)) for i, k in enumerate(sizes)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads inside the fill and the slice
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
+    _race(worker, list(enumerate(sizes)))
     longest = _recomputed_rows(max(sizes))
     for i, k in enumerate(sizes):
         assert results[i] == longest[:k]

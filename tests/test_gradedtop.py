@@ -247,7 +247,7 @@ def test_kernel_and_cokernel_compute_their_own_snf():
 
 
 def test_graded_group_accessors():
-    g = GradedGroup.from_ranks(3, {0: 1, 3: 2})
+    g = GradedGroup((1, 0, 0, 2))
     assert g.ranks == (1, 0, 0, 2) and g.top_degree == 3
     assert g.rank(0) == 1 and g.rank(3) == 2 and g.rank(7) == 0 and g.rank(-1) == 0
     # the groups are torsion free: the property reads none in every degree
@@ -287,14 +287,12 @@ def test_graded_group_rank_type_names_the_degree(bad):
 
 
 @pytest.mark.parametrize("bad", ["1", 1.0, True])
-def test_graded_group_from_ranks_degree_keys_are_ints(bad):
-    # "1" died in the range check with a bare TypeError, and 1.0 and True
-    # were read as degree 1
+def test_graded_group_rank_degree_is_an_int(bad):
+    # "1" and 1.0 died in the range check with a bare TypeError, and True
+    # was read as degree 1
     message = f"degree must be of type int, got {bad!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        GradedGroup.from_ranks(3, {0: 1, bad: 1})
-    with pytest.raises(ValueError, match=f"^top_degree must be of type int, got {bad!r}$"):
-        GradedGroup.from_ranks(bad, {0: 1})
+        GradedGroup((1, 3, 0)).rank(bad)
 
 
 @settings(max_examples=200, deadline=None)
@@ -329,14 +327,6 @@ def test_constructors_require_integers():
         IntMatrix.from_rows([["3", 1.9]])
     with pytest.raises(ValueError, match=r"^matrix entry \[0\]\[1\] must be of type int, got 1\.9$"):
         IntMatrix.from_rows([[3, 1.9]])
-
-
-def test_graded_group_rejects_out_of_range_degrees():
-    with pytest.raises(ValueError, match="outside 0..3"):
-        GradedGroup.from_ranks(3, {0: 1, 7: 5, -1: 2})
-    for j in (7, -1, 4):
-        with pytest.raises(ValueError, match=f"^degree {j} outside 0..3$"):
-            GradedGroup.from_ranks(3, {j: 1})
 
 
 def test_model_rejects_out_of_range_degrees():
@@ -466,7 +456,7 @@ def test_model_fields_must_have_their_types(field, value, message):
 def test_gysin_sphere(n):
     model = standard_orbit_model(n, Family.CPN, 0)
     h = gysin_total_space(model)
-    expected = GradedGroup.from_ranks(2 * n + 1, {0: 1, 2 * n + 1: 1})
+    expected = GradedGroup((1,) + (0,) * (2 * n) + (1,))
     assert h == expected
 
 
@@ -625,7 +615,7 @@ def test_divisibility_transfer():
 
 def test_divisibility_transfer_over_zero_groups():
     # H^6 = H^8 = 0, so cup with t on degree n - 1 is the 0 x 0 map: an isomorphism
-    coh = GradedGroup.from_ranks(14, {0: 1, 2: 1, 12: 1, 14: 1})
+    coh = GradedGroup((1, 0, 1) + (0,) * 9 + (1, 0, 1))
     model = OrbitModel(n=7, family=Family.CPN, r=0, cohomology=coh,
                        cup_t={0: IntMatrix.from_rows([[1]])})
     assert 6 not in model.cup_t
@@ -665,20 +655,16 @@ def test_model_validation_rejects_bad_shapes():
 
 def test_model_validation_rejects_bad_cohomology():
     # missing unit in degree 0
-    no_unit = GradedGroup.from_ranks(14, {2: 1, 7: 2, 12: 1, 14: 1})
+    no_unit = GradedGroup((0, 0, 1, 0, 0, 0, 0, 2, 0, 0, 0, 0, 1, 0, 1))
     with pytest.raises(ValueError, match="^H\\^0 = Z, H\\^1 = 0, H\\^2 = Z are required$"):
         OrbitModel(n=7, family=Family.CPN, r=1, cohomology=no_unit, cup_t={})
     # duality broken: extra class in degree 4 with no partner in degree 10
-    lopsided = GradedGroup.from_ranks(
-        14, {0: 1, 2: 1, 4: 2, 6: 1, 7: 2, 8: 1, 10: 1, 12: 1, 14: 1}
-    )
+    lopsided = GradedGroup((1, 0, 1, 0, 2, 0, 1, 2, 1, 0, 1, 0, 1, 0, 1))
     with pytest.raises(ValueError, match="^ranks must satisfy Poincare duality$"):
         OrbitModel(n=7, family=Family.CPN, r=1, cohomology=lopsided, cup_t={})
     # odd middle rank
     base = standard_orbit_model(7, Family.CPN, 0).cohomology
-    odd_middle = GradedGroup.from_ranks(
-        14, {j: base.rank(j) for j in range(15)} | {7: 1}
-    )
+    odd_middle = GradedGroup(base.ranks[:7] + (1,) + base.ranks[8:])
     with pytest.raises(ValueError, match="^middle rank must be even$"):
         OrbitModel(n=7, family=Family.CPN, r=0, cohomology=odd_middle, cup_t={})
 

@@ -86,6 +86,7 @@ def test_import_loads_no_layer():
         "import sys, circleact\n"
         f"assert not set({_LAYERS!r}) & set(sys.modules), sorted(sys.modules)\n"
         "circleact.__version__\n"
+        "assert not hasattr(circleact, '_no_such_name')\n"
         f"assert not set({_LAYERS!r}) & set(sys.modules), sorted(sys.modules)\n"
     )
 
@@ -182,6 +183,10 @@ _CLI = ["-m", "circleact"]
 _COLD_STARTS = {
     "import": (["-c", "import circleact.cli"], {"circleact.cli"},
                {*_LAYERS, "argparse", "json", "fractions"}),
+    # the import system asks the package for the name before it imports
+    # the submodule
+    "from-import": (["-c", "from circleact import cli"], {"circleact.cli"},
+                    {*_LAYERS, "argparse", "json", "fractions"}),
     "imj": ([*_CLI, "imj", "--k", "3"], {_BERNOULLI},
             {_CLASSIFIER, _GRADEDTOP, _GENUS, "fractions", "json"}),
     "classify": ([*_CLI, "classify", "--n", "15", "--bn", "3", "--l", "2419200"],
