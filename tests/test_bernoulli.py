@@ -210,11 +210,9 @@ TABLES = {
 }
 
 
-@pytest.fixture(params=list(TABLES))
-def table(request, monkeypatch):
-    fresh, read, cap, slow, past_cap, doubles = TABLES[request.param]
-    memo = fresh(monkeypatch)
-    calls = []  # (entries before, k asked) for each extension
+def _spy_extend(memo):
+    """Record (entries before, k asked) for each extension of ``memo``."""
+    calls = []
     extend = memo.extend
 
     def spy(values, carry, k):
@@ -222,6 +220,14 @@ def table(request, monkeypatch):
         return extend(values, carry, k)
 
     memo.extend = spy
+    return calls
+
+
+@pytest.fixture(params=list(TABLES))
+def table(request, monkeypatch):
+    fresh, read, cap, slow, past_cap, doubles = TABLES[request.param]
+    memo = fresh(monkeypatch)
+    calls = _spy_extend(memo)
     return SimpleNamespace(memo=memo, calls=calls, read=read, cap=cap, slow=slow,
                            past_cap=past_cap, doubles=doubles)
 
@@ -336,6 +342,34 @@ def test_closed_form_refuses_too_many_divisors():
 
 def test_j_index_divisible_by_24():
     selftest._check_j_index_divisible_by_24()
+
+
+def test_cold_table_rows_fills_once(monkeypatch):
+    oracle = _recurrence_150()
+    fills = _spy_extend(_fresh_bernoulli_rows(monkeypatch))
+    rows = table_rows(60)
+    assert fills == [(0, 60)]
+    assert [b for _, b, _, _ in rows] == oracle[:60]
+    table_rows(70)  # extends by the ten new columns only
+    assert fills == [(0, 60), (60, 70)]
+    assert bernoulli_ms(70) == oracle[69]
+
+
+def test_table_extends_on_demand():
+    table = BernoulliTable()
+    assert table.value(3) == bernoulli_ms(3)
+    assert table.max_index >= 3
+    assert table.value(10) == bernoulli_ms(10)
+    assert table.max_index >= 10
+
+
+def test_table_extends_only_past_its_end():
+    table = BernoulliTable()
+    calls = _spy_extend(table._rows)
+    table.value(5)
+    table.value(5)
+    table.value(3)
+    assert calls == [(0, 5)]
 
 
 def test_table_rejects_bad_index():
