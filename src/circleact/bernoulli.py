@@ -71,9 +71,7 @@ def _bernoulli_rows(rows: list, col: list[int] | None, upto: int) -> tuple[list,
             nxt.append(2 * prev)
             col = nxt
         b = Fraction(2 * i * col[-1], 4**i * (4**i - 1))
-        # B_i = num/den, num odd: den(B_i/4i) = 4i den / gcd(num, 4i) = 4i den / gcd(num, i)
-        num, den = b.numerator, b.denominator
-        rows.append((i, b, den, 4 * i * den // gcd(num, i)))
+        rows.append((i, b, b.denominator, im_j_order(i)))
     return rows, col
 
 

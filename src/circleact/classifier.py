@@ -49,15 +49,15 @@ __all__ = [
 class ManifoldInvariants(Record):
     """(n, b_n, l): dimension parameter, middle Betti number, and middle
     Pontrjagin divisibility.  l is meaningless (and ignored) when
-    n = 5 mod 8; omitted l means 0.  Each is an int (l may be None); any
-    other type is a ValueError naming the field."""
+    n = 5 mod 8; an omitted l (or None) is stored as 0.  Each is an int;
+    any other type is a ValueError naming the field."""
 
     __slots__ = ("n", "b_n", "l")
 
     def __init__(self, n: int, b_n: int, l: int | None = None) -> None:
         _set(self, "n", _exact(n, int, "n"))
         _set(self, "b_n", _exact(b_n, int, "b_n"))
-        _set(self, "l", l if l is None else _exact(l, int, "l"))
+        _set(self, "l", 0 if l is None else _exact(l, int, "l"))
 
 
 class DivisorReport(Record):
@@ -119,27 +119,26 @@ class Witness(Record):
         return dict(zip(self._fields, self._values))
 
 
+# the Euler class of every recipe's circle bundle, as ``describe`` and the
+# JSON "euler_class" key name it
+_EULER_CLASS = "primitive generator of H^2"
+
+
 class OrbitRecipe(Record):
     """Symbolic orbit space realizing the action: r handle summands
     S^n x S^n connect-summed with either CP^n or CP^{(n-1)/2} x S^{n+1}
     (the latter carrying middle Pontrjagin divisibility d when n = 7 mod 8),
     with the circle bundle over it classified by a primitive Euler class."""
 
-    __slots__ = ("n", "family", "handles", "divisibility", "euler_class")
+    __slots__ = ("n", "family", "handles", "divisibility")
 
     def __init__(
-        self,
-        n: int,
-        family: Family,
-        handles: int,
-        divisibility: int | None = None,
-        euler_class: str = "primitive generator of H^2",
+        self, n: int, family: Family, handles: int, divisibility: int | None = None
     ) -> None:
         _set(self, "n", n)
         _set(self, "family", family)
         _set(self, "handles", handles)
         _set(self, "divisibility", divisibility)
-        _set(self, "euler_class", euler_class)
 
     def core_description(self) -> str:
         if self.family is Family.CPN:
@@ -154,7 +153,7 @@ class OrbitRecipe(Record):
         n = self.n
         if self.handles:
             core = f"#_{self.handles}(S^{n} x S^{n}) # {core}"
-        return f"{core}, circle bundle with Euler class a {self.euler_class}"
+        return f"{core}, circle bundle with Euler class a {_EULER_CLASS}"
 
     def orbit_model(self) -> OrbitModel:
         """The graded model of this recipe, ready for the Gysin engine."""
@@ -168,7 +167,7 @@ class OrbitRecipe(Record):
             "family": self.family.value,
             "handles": self.handles,
             "divisibility": self.divisibility,
-            "euler_class": self.euler_class,
+            "euler_class": _EULER_CLASS,
             "description": self.describe(),
         }
 
@@ -261,12 +260,9 @@ def required_divisor(n: int) -> DivisorReport:
     )
 
 
-def _effective_l(inv: ManifoldInvariants) -> int:
-    return 0 if inv.l is None else inv.l
-
-
 def _divisor_report(inv: ManifoldInvariants) -> DivisorReport | None:
     """The divisor report when n = 7 (mod 8), else None."""
+    _exact(inv, ManifoldInvariants, "inv")
     return required_divisor(inv.n) if inv.n % 8 == 7 and inv.n >= 7 else None
 
 
@@ -277,13 +273,12 @@ def _violations(inv: ManifoldInvariants, report: DivisorReport | None) -> list[s
     if inv.b_n < 0:
         violations.append("b_n must be nonnegative")
     if report is not None:
-        l = _effective_l(inv)
-        if l < 0:
+        if inv.l < 0:
             violations.append("l must be nonnegative")
         else:
-            if l % report.kervaire:
+            if inv.l % report.kervaire:
                 violations.append(f"l not divisible by {report.kervaire}")
-            if inv.b_n == 0 and l != 0:
+            if inv.b_n == 0 and inv.l != 0:
                 violations.append("l must be 0 when b_n = 0")
     return violations
 
@@ -331,7 +326,7 @@ def classify(inv: ManifoldInvariants) -> ClassificationResult:
 
     if inv.n % 8 == 5:
         # the middle Pontrjagin index (n+1)/4 is not an integer there
-        if inv.l not in (None, 0):
+        if inv.l:
             notes.append("l ignored for n = 5 (mod 8)")
         return ClassificationResult(
             reason=ReasonCode.N5_ALWAYS,
@@ -341,7 +336,7 @@ def classify(inv: ManifoldInvariants) -> ClassificationResult:
             notes=tuple(notes),
         )
 
-    l = _effective_l(inv)
+    l = inv.l
     if inv.b_n % 2 == 0:
         reason = ReasonCode.EVEN_L_ZERO if l == 0 else ReasonCode.EVEN_L_NONZERO
     else:

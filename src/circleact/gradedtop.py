@@ -100,7 +100,7 @@ def smith_normal_form(mat: IntMatrix) -> SNFResult:
     divides M, so d_i = gcd(pivot, N), and the factor 2 keeps d_r = |M|
     apart from 0.
     """
-    return SNFResult(_invariant_factors(mat))
+    return SNFResult(_invariant_factors(_exact(mat, IntMatrix, "mat")))
 
 
 def _hadamard_bound(mat: IntMatrix) -> int:
@@ -261,7 +261,8 @@ class GradedGroup(Record):
 
 class OrbitModel(Record):
     """Cohomology of a candidate orbit space (a 2n-manifold) together with
-    the cup-with-t maps the Gysin sequence needs.
+    the cup-with-t maps the Gysin sequence needs; n is read off the top
+    degree of ``cohomology``.
 
     ``cup_t[j]`` is the matrix of -cup t: H^j -> H^{j+2} (rows = rank of
     the target); degrees without a stored matrix are zero maps.  The Euler
@@ -270,27 +271,15 @@ class OrbitModel(Record):
     lifetime.
     """
 
-    __slots__ = ("n", "family", "r", "cohomology", "cup_t")
+    __slots__ = ("cohomology", "cup_t")
 
-    def __init__(
-        self,
-        n: int,
-        family: Family | str,
-        r: int,
-        cohomology: GradedGroup,
-        cup_t: dict[int, IntMatrix],
-    ) -> None:
-        _set(self, "n", _exact(n, int, "n"))
-        _set(self, "family", Family(family))
-        _set(self, "r", _exact(r, int, "r"))
+    def __init__(self, cohomology: GradedGroup, cup_t: dict[int, IntMatrix]) -> None:
         _set(self, "cohomology", _exact(cohomology, GradedGroup, "cohomology"))
         _set(self, "cup_t", MappingProxyType(dict(cup_t)))
-        if n < 5 or n % 2 == 0:
+        top = cohomology.top_degree
+        if top < 10 or top % 4 != 2:  # top = 2n with n odd and at least 5
             raise ValueError("dimension out of scope")
-        if r < 0:
-            raise ValueError("handle count must be nonnegative")
-        if cohomology.top_degree != 2 * n:
-            raise ValueError("cohomology must live in degrees 0..2n")
+        n = top // 2
         ranks = cohomology.ranks
         if ranks[:3] != (1, 0, 1):
             raise ValueError("H^0 = Z, H^1 = 0, H^2 = Z are required")
@@ -303,8 +292,8 @@ class OrbitModel(Record):
             # degree would slow the build of every model
             if type(j) is not int:
                 _exact(j, int, "cup_t key")
-            if not 0 <= j <= 2 * n - 2:
-                raise ValueError(f"cup map at degree {j} outside 0..{2 * n - 2}")
+            if not 0 <= j <= top - 2:
+                raise ValueError(f"cup map at degree {j} outside 0..{top - 2}")
             if type(mat) is not IntMatrix:
                 _exact(mat, IntMatrix, "cup map at degree {}", j)
             if mat.cols != ranks[j] or mat.rows != ranks[j + 2]:
@@ -313,9 +302,13 @@ class OrbitModel(Record):
         if unit is None or unit.entries not in (((1,),), ((-1,),)):
             raise ValueError("a primitive Euler class needs cup_t[0] = [[1]] or [[-1]]")
 
+    @property
+    def n(self) -> int:
+        return self.cohomology.top_degree // 2
+
     def __reduce__(self):
         # a mapping proxy does not pickle; the constructor copies the dict again
-        return type(self), (self.n, self.family, self.r, self.cohomology, dict(self.cup_t))
+        return type(self), (self.cohomology, dict(self.cup_t))
 
 
 def standard_orbit_model(n: int, family: Family | str, r: int) -> OrbitModel:
@@ -342,8 +335,7 @@ def standard_orbit_model(n: int, family: Family | str, r: int) -> OrbitModel:
     cup = dict.fromkeys(range(0, 2 * n - 1, 2), unit)
     if family is Family.CPHALF_TIMES_SPHERE:
         del cup[n - 1]
-    cohomology = GradedGroup(ranks)
-    return OrbitModel(n=n, family=family, r=r, cohomology=cohomology, cup_t=cup)
+    return OrbitModel(GradedGroup(ranks), cup)
 
 
 def gysin_total_space(model: OrbitModel) -> GradedGroup:
@@ -354,7 +346,7 @@ def gysin_total_space(model: OrbitModel) -> GradedGroup:
     check and its image rank (the unit maps of a standard model are one
     shared matrix); a degree without a stored map is the zero map.
     """
-    base = model.cohomology.ranks
+    base = _exact(model, OrbitModel, "model").cohomology.ranks
     image = [0] * len(base)  # rank of the image of t on H^j
     cokernels: dict[IntMatrix, tuple[int, tuple[int, ...]]] = {}
     last = None  # a run of one shared map is looked up once
@@ -392,7 +384,7 @@ def divisibility_transfer(model: OrbitModel, d: int) -> int:
     if it is zero the pullback is a split injection onto a summand and the
     divisibility transfers unchanged.
     """
-    if model.n % 8 != 7:
+    if _exact(model, OrbitModel, "model").n % 8 != 7:
         raise ValueError("transfer defined only for n = 7 (mod 8)")
     if _exact(d, int, "d") < 0:
         raise ValueError("divisibility must be nonnegative")

@@ -387,7 +387,7 @@ def test_table_rows_shape():
 
 
 def test_table_rows_image_of_j_column_is_the_fraction_denominator():
-    # den(B_k/4k) from num and den of B_k, pinned to the Fraction division
+    # the column read from im_j_order, pinned to the Fraction division
     rows = table_rows(300)
     assert [k for k, _, _, _ in rows] == list(range(1, 301))
     for k, b, den, imj in rows:

@@ -237,7 +237,10 @@ def test_invariants_must_be_ints(args, field):
 
 
 def test_invariants_keep_int_and_none():
-    assert ManifoldInvariants(13, 2).l is None
+    # an omitted l and l = None are stored as 0: one value, one hash
+    assert ManifoldInvariants(13, 2).l == 0
+    assert ManifoldInvariants(7, 1) == ManifoldInvariants(7, 1, None) == ManifoldInvariants(7, 1, 0)
+    assert hash(ManifoldInvariants(7, 1)) == hash(ManifoldInvariants(7, 1, 0))
     assert ManifoldInvariants(15, 3, 2419200).b_n == 3
 
 
@@ -246,12 +249,14 @@ def test_classify_ignores_l_for_n5():
 
 
 def test_classify_says_l_is_ignored_in_its_notes_without_warning():
-    # the notes carry the n = 5 (mod 8) message; no warning is raised
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        result = classify(ManifoldInvariants(13, 3, 7))
-    assert result.reason is ReasonCode.N5_ALWAYS
-    assert result.notes == ("l ignored for n = 5 (mod 8)",)
+    # the notes carry the n = 5 (mod 8) message, for a negative l too; no
+    # warning is raised
+    for l in (7, -7):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = classify(ManifoldInvariants(13, 3, l))
+        assert result.reason is ReasonCode.N5_ALWAYS
+        assert result.notes == ("l ignored for n = 5 (mod 8)",)
 
 
 @pytest.mark.parametrize("n", [7, 15])

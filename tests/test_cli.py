@@ -221,6 +221,7 @@ def test_recipe_json(capsys):
     assert data["handles"] == 1
     assert data["divisibility"] == 2419200
     assert data["euler_class"] == "primitive generator of H^2"
+    assert data["description"].endswith(", circle bundle with Euler class a primitive generator of H^2")
 
 
 def test_recipe_text_shows_the_notes(capsys):

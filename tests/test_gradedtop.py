@@ -311,14 +311,8 @@ def test_graded_group_json_round_trip(g):
 def test_constructors_require_integers():
     # a float, a bool or a numeric string is refused by the constructor that
     # stores the field, and the error names the field
-    base = standard_orbit_model(7, Family.CPN, 1)
-    coh, cup = base.cohomology, base.cup_t
-    ranks = list(coh.ranks)
+    ranks = list(standard_orbit_model(7, Family.CPN, 1).cohomology.ranks)
     ranks[7] = 2.6
-    with pytest.raises(ValueError, match=r"^n must be of type int, got 7\.9$"):
-        OrbitModel(n=7.9, family=Family.CPN, r=1, cohomology=coh, cup_t=cup)
-    with pytest.raises(ValueError, match="^r must be of type int, got '1'$"):
-        OrbitModel(n=7, family=Family.CPN, r="1", cohomology=coh, cup_t=cup)
     with pytest.raises(ValueError, match=r"^rank at degree 7 must be of type int, got 2\.6$"):
         GradedGroup(ranks)
     with pytest.raises(ValueError, match=r"^matrix entry \[0\]\[0\] must be of type int, got True$"):
@@ -336,11 +330,11 @@ def test_model_rejects_out_of_range_degrees():
                        (-2, "^cup map at degree -2 outside 0..12$")):
         cup = {j: _zeros(0, 0), **base.cup_t}
         with pytest.raises(ValueError, match=message):
-            OrbitModel(n=7, family=Family.CPN, r=1, cohomology=coh, cup_t=cup)
+            OrbitModel(coh, cup)
     # a map out of degree 2n - 1 would land past the top degree
     cup = {**base.cup_t, 13: _zeros(0, 0)}
     with pytest.raises(ValueError, match="^cup map at degree 13 outside 0..12$"):
-        OrbitModel(n=7, family=Family.CPN, r=1, cohomology=coh, cup_t=cup)
+        OrbitModel(coh, cup)
 
 
 def test_standard_model_cpn_no_handles():
@@ -390,24 +384,42 @@ def test_standard_model_rejects_bad_dimension():
                 standard_orbit_model(n, family, 0)
     with pytest.raises(ValueError, match="^handle count must be nonnegative$"):
         standard_orbit_model(7, Family.CPN, -1)
+    # the family is an argument of the standard model only, a Family or its name
+    with pytest.raises(ValueError, match="'nope'"):
+        standard_orbit_model(7, "nope", 0)
+    assert standard_orbit_model(7, "CPN", 1) == standard_orbit_model(7, Family.CPN, 1)
 
 
 @pytest.mark.parametrize(
     "field, value, message",
     [
+        # n is read off the cohomology: an n row builds one of top degree 2n
         ("n", 3, "^dimension out of scope$"),
         ("n", 4, "^dimension out of scope$"),
         ("n", 6, "^dimension out of scope$"),
-        ("r", -1, "^handle count must be nonnegative$"),
-        ("cohomology", GradedGroup((1, 0, 1, 0, 1)), r"^cohomology must live in degrees 0\.\.2n$"),
+        ("cohomology", GradedGroup((1, 0, 1) + (0,) * 10 + (1, 0, 1)), "^dimension out of scope$"),
+        ("cohomology", GradedGroup((1, 0, 1, 0, 1)), "^dimension out of scope$"),
+        ("cohomology", GradedGroup((1, 0) * 8 + (1,)), "^dimension out of scope$"),
     ],
 )
 def test_model_constructor_checks_its_own_fields(field, value, message):
-    base = standard_orbit_model(7, Family.CPN, 1)
-    fields = {"n": 7, "family": Family.CPN, "r": 1, "cohomology": base.cohomology,
-              "cup_t": base.cup_t, field: value}
+    # a top degree other than 2n for an odd n >= 5 (here 6, 8, 12, 15, 4
+    # and 16) is refused before the ranks are read
+    cohomology = GradedGroup((1, 0) * value + (1,)) if field == "n" else value
     with pytest.raises(ValueError, match=message):
-        OrbitModel(**fields)
+        OrbitModel(cohomology, {0: IntMatrix.from_rows([[1]])})
+
+
+@pytest.mark.parametrize("n", [5, 7, 9, 15, 63])
+@pytest.mark.parametrize("family", list(Family))
+def test_model_n_is_read_off_the_cohomology(n, family):
+    model = standard_orbit_model(n, family, 2)
+    assert model.n == n == model.cohomology.top_degree // 2
+    assert type(model).__slots__ == ("cohomology", "cup_t")
+    assert model.__reduce__() == (OrbitModel, (model.cohomology, dict(model.cup_t)))
+    rebuilt = OrbitModel(model.cohomology, model.cup_t)
+    for clone in (rebuilt, pickle.loads(pickle.dumps(model)), copy.deepcopy(model)):
+        assert clone == model and clone.n == n
 
 
 def test_model_arguments_must_be_ints():
@@ -419,11 +431,6 @@ def test_model_arguments_must_be_ints():
         standard_orbit_model(7, "CPN", 1.5)
     with pytest.raises(ValueError, match=r"^r must be of type int, got True$"):
         standard_orbit_model(7, "CPN", True)
-    base = standard_orbit_model(7, Family.CPN, 1)
-    with pytest.raises(ValueError, match=r"^n must be of type int, got 7\.0$"):
-        OrbitModel(n=7.0, family=Family.CPN, r=1, cohomology=base.cohomology, cup_t=base.cup_t)
-    with pytest.raises(ValueError, match=r"^r must be of type int, got 1\.0$"):
-        OrbitModel(n=7, family=Family.CPN, r=1.0, cohomology=base.cohomology, cup_t=base.cup_t)
 
 
 _UNIT_MAP = IntMatrix.from_rows([[1]])
@@ -446,8 +453,7 @@ def test_model_fields_must_have_their_types(field, value, message):
     # a ranks tuple died with AttributeError 'top_degree', a nested list with
     # AttributeError 'cols', and a key "0" or 0.0 with a bare TypeError
     base = standard_orbit_model(7, Family.CPN, 1)
-    fields = {"n": 7, "family": Family.CPN, "r": 1, "cohomology": base.cohomology,
-              "cup_t": base.cup_t, field: value}
+    fields = {"cohomology": base.cohomology, "cup_t": base.cup_t, field: value}
     with pytest.raises(ValueError, match=message):
         OrbitModel(**fields)
 
@@ -495,7 +501,7 @@ def test_gysin_runs_one_snf_per_distinct_map(monkeypatch):
     model = standard_orbit_model(7, Family.CPN, 0)
     cup = dict(model.cup_t)
     cup[2] = IntMatrix.from_rows([[-1]])
-    flipped = OrbitModel(n=7, family=Family.CPN, r=0, cohomology=model.cohomology, cup_t=cup)
+    flipped = OrbitModel(model.cohomology, cup)
     expected = gysin_total_space(model)
     calls = []
     original = gradedtop.smith_normal_form
@@ -512,7 +518,7 @@ def test_explicit_zero_maps_change_nothing(n, r, family):
     coh = model.cohomology
     cup = {j: _zeros(coh.rank(j + 2), coh.rank(j)) for j in range(2 * n - 1)}
     cup.update(model.cup_t)
-    padded = OrbitModel(n=n, family=family, r=r, cohomology=coh, cup_t=cup)
+    padded = OrbitModel(coh, cup)
     if family is Family.CPHALF_TIMES_SPHERE:
         assert padded.cup_t[n - 1].entries == ((0,),)
     assert gysin_total_space(padded) == gysin_total_space(model)
@@ -555,13 +561,13 @@ def test_gysin_mixed_maps_equal_the_per_degree_formula():
     cup = dict(model.cup_t)
     for j in (0, 4, 6, 20):
         cup[j] = minus
-    mixed = OrbitModel(n=15, family=model.family, r=2, cohomology=model.cohomology, cup_t=cup)
+    mixed = OrbitModel(model.cohomology, cup)
     assert gysin_total_space(mixed) == _per_degree_gysin(mixed) == gysin_total_space(model)
     # torsion at two degrees, the shared unit map in between: both name the
     # lowest degree whose cokernel has torsion
     cup[22] = IntMatrix.from_rows([[2]])
     cup[8] = IntMatrix.from_rows([[3]])
-    twisted = OrbitModel(n=15, family=model.family, r=2, cohomology=model.cohomology, cup_t=cup)
+    twisted = OrbitModel(model.cohomology, cup)
     with pytest.raises(ArithmeticError) as new:
         gysin_total_space(twisted)
     with pytest.raises(ArithmeticError) as old:
@@ -574,7 +580,7 @@ def test_gysin_refuses_a_cokernel_with_torsion():
     model = standard_orbit_model(7, Family.CPN, 0)
     cup = dict(model.cup_t)
     cup[2] = IntMatrix.from_rows([[2]])  # H^4 / 2 H^2 has torsion Z/2
-    doubled = OrbitModel(n=7, family=Family.CPN, r=0, cohomology=model.cohomology, cup_t=cup)
+    doubled = OrbitModel(model.cohomology, cup)
     with pytest.raises(ArithmeticError, match=r"at degree 4 has torsion \(2,\)"):
         gysin_total_space(doubled)
 
@@ -592,7 +598,7 @@ def test_gysin_requires_primitive_euler_class():
         if unit is not None:
             cup[0] = IntMatrix.from_rows(unit)
         with pytest.raises(ValueError, match=_PRIMITIVE):
-            OrbitModel(n=7, family=Family.CPN, r=0, cohomology=model.cohomology, cup_t=cup)
+            OrbitModel(model.cohomology, cup)
 
 
 def test_gysin_outputs_highly_connected():
@@ -616,8 +622,7 @@ def test_divisibility_transfer():
 def test_divisibility_transfer_over_zero_groups():
     # H^6 = H^8 = 0, so cup with t on degree n - 1 is the 0 x 0 map: an isomorphism
     coh = GradedGroup((1, 0, 1) + (0,) * 9 + (1, 0, 1))
-    model = OrbitModel(n=7, family=Family.CPN, r=0, cohomology=coh,
-                       cup_t={0: IntMatrix.from_rows([[1]])})
+    model = OrbitModel(coh, {0: IntMatrix.from_rows([[1]])})
     assert 6 not in model.cup_t
     assert divisibility_transfer(model, 1440) == 0
 
@@ -634,9 +639,7 @@ def test_divisibility_transfer_rejects_broken_dichotomy():
     model = standard_orbit_model(7, Family.CPN, 0)
     cup = dict(model.cup_t)
     cup[6] = IntMatrix.from_rows([[2]])  # neither zero nor unimodular
-    broken = OrbitModel(
-        n=7, family=Family.CPN, r=0, cohomology=model.cohomology, cup_t=cup
-    )
+    broken = OrbitModel(model.cohomology, cup)
     with pytest.raises(ValueError, match="neither zero nor an isomorphism"):
         divisibility_transfer(broken, 24)
 
@@ -646,27 +649,27 @@ def test_model_validation_rejects_bad_shapes():
     cup = dict(model.cup_t)
     cup[0] = _zeros(3, 7)
     with pytest.raises(ValueError, match="wrong shape"):
-        OrbitModel(n=7, family=Family.CPN, r=1, cohomology=model.cohomology, cup_t=cup)
+        OrbitModel(model.cohomology, cup)
     # the right number of columns, the wrong number of rows
     cup = {**model.cup_t, 2: _zeros(2, 1)}
     with pytest.raises(ValueError, match="^cup map at degree 2 has wrong shape$"):
-        OrbitModel(n=7, family=Family.CPN, r=1, cohomology=model.cohomology, cup_t=cup)
+        OrbitModel(model.cohomology, cup)
 
 
 def test_model_validation_rejects_bad_cohomology():
     # missing unit in degree 0
     no_unit = GradedGroup((0, 0, 1, 0, 0, 0, 0, 2, 0, 0, 0, 0, 1, 0, 1))
     with pytest.raises(ValueError, match="^H\\^0 = Z, H\\^1 = 0, H\\^2 = Z are required$"):
-        OrbitModel(n=7, family=Family.CPN, r=1, cohomology=no_unit, cup_t={})
+        OrbitModel(no_unit, {})
     # duality broken: extra class in degree 4 with no partner in degree 10
     lopsided = GradedGroup((1, 0, 1, 0, 2, 0, 1, 2, 1, 0, 1, 0, 1, 0, 1))
     with pytest.raises(ValueError, match="^ranks must satisfy Poincare duality$"):
-        OrbitModel(n=7, family=Family.CPN, r=1, cohomology=lopsided, cup_t={})
+        OrbitModel(lopsided, {})
     # odd middle rank
     base = standard_orbit_model(7, Family.CPN, 0).cohomology
     odd_middle = GradedGroup(base.ranks[:7] + (1,) + base.ranks[8:])
     with pytest.raises(ValueError, match="^middle rank must be even$"):
-        OrbitModel(n=7, family=Family.CPN, r=0, cohomology=odd_middle, cup_t={})
+        OrbitModel(odd_middle, {})
 
 
 def test_model_validation_rejects_a_non_generating_euler_class():
@@ -676,21 +679,11 @@ def test_model_validation_rejects_a_non_generating_euler_class():
     cup = dict(model.cup_t)
     del cup[0]
     with pytest.raises(ValueError, match=_PRIMITIVE):
-        OrbitModel(n=15, family=model.family, r=2, cohomology=model.cohomology, cup_t=cup)
+        OrbitModel(model.cohomology, cup)
     cup[0] = IntMatrix.from_rows([[-1]])  # the other generator of H^2
-    flipped = OrbitModel(n=15, family=model.family, r=2, cohomology=model.cohomology, cup_t=cup)
+    flipped = OrbitModel(model.cohomology, cup)
     assert flipped.cup_t[0].entries == ((-1,),)
     assert gysin_total_space(flipped) == gysin_total_space(model)
-
-
-def test_model_family_must_be_a_family():
-    # family="nope" constructed and ran through Gysin
-    base = standard_orbit_model(7, Family.CPN, 1)
-    with pytest.raises(ValueError, match="'nope'"):
-        OrbitModel(n=7, family="nope", r=1, cohomology=base.cohomology, cup_t=base.cup_t)
-    model = OrbitModel(n=7, family="CPN", r=1, cohomology=base.cohomology, cup_t=base.cup_t)
-    assert model.family is Family.CPN
-    assert model == base
 
 
 def test_model_cup_maps_are_a_read_only_copy():
@@ -704,7 +697,7 @@ def test_model_cup_maps_are_a_read_only_copy():
     with pytest.raises(TypeError):
         del model.cup_t[2]
     cup = dict(model.cup_t)
-    built = OrbitModel(n=7, family=Family.CPN, r=0, cohomology=model.cohomology, cup_t=cup)
+    built = OrbitModel(model.cohomology, cup)
     cup[0] = IntMatrix.from_rows([[0]])
     del cup[2]
     assert built.cup_t[0].entries == ((1,),) and 2 in built.cup_t

@@ -11,7 +11,7 @@ import pytest
 import circleact
 from circleact import bernoulli, classifier, genus, gradedtop
 from circleact.classifier import ClassificationResult, ReasonCode
-from circleact.gradedtop import SNFResult
+from circleact.gradedtop import OrbitModel, SNFResult
 from circleact.selftest import SelfTestReport
 
 
@@ -41,8 +41,30 @@ def test_public_surface_is_pinned():
 
 def test_derived_flags_are_not_stored():
     for cls, flag in ((ClassificationResult, "admits"), (SNFResult, "rank"),
-                      (SelfTestReport, "failed")):
+                      (SelfTestReport, "failed"), (OrbitModel, "n")):
         assert flag not in set(cls.__slots__), (cls, flag)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: circleact.gysin_total_space((1, 0, 1)),
+         r"^model must be of type OrbitModel, got \(1, 0, 1\)$"),
+        (lambda: circleact.divisibility_transfer("m", 1), "^model must be of type OrbitModel, got 'm'$"),
+        (lambda: circleact.smith_normal_form([[1]]), r"^mat must be of type IntMatrix, got \[\[1\]\]$"),
+        (lambda: circleact.cokernel([[2]]), r"^mat must be of type IntMatrix, got \[\[2\]\]$"),
+        (lambda: circleact.classify((7, 1, 0)),
+         r"^inv must be of type ManifoldInvariants, got \(7, 1, 0\)$"),
+        (lambda: circleact.validate((7, 1, 0)),
+         r"^inv must be of type ManifoldInvariants, got \(7, 1, 0\)$"),
+    ],
+    ids=["gysin_total_space", "divisibility_transfer", "smith_normal_form", "cokernel",
+         "classify", "validate"],
+)
+def test_entry_points_name_an_argument_of_the_wrong_type(call, message):
+    # each died with a bare AttributeError: '<type>' object has no attribute ...
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 @pytest.mark.parametrize("reason", list(ReasonCode))

@@ -37,7 +37,7 @@ SAMPLES = {
     ),
     "ManifoldInvariants-default": (
         lambda: ManifoldInvariants(13, 2),
-        "ManifoldInvariants(n=13, b_n=2, l=None)",
+        "ManifoldInvariants(n=13, b_n=2, l=0)",
     ),
     "DivisorReport": (
         lambda: required_divisor(7),
@@ -50,14 +50,13 @@ SAMPLES = {
     "OrbitRecipe": (
         lambda: OrbitRecipe(15, Family.CPHALF_TIMES_SPHERE, 1, 2419200),
         "OrbitRecipe(n=15, family=<Family.CPHALF_TIMES_SPHERE: 'CPHALF_TIMES_SPHERE'>, "
-        "handles=1, divisibility=2419200, euler_class='primitive generator of H^2')",
+        "handles=1, divisibility=2419200)",
     ),
     "ClassificationResult": (
         lambda: classify(ManifoldInvariants(5, 0)),
         "ClassificationResult(reason=<ReasonCode.N5_ALWAYS: 'N5_ALWAYS'>, divisors=None, "
         "witness=Witness(sphere_product_copies=0, bundle_divisibility=None), "
-        "orbit=OrbitRecipe(n=5, family=<Family.CPN: 'CPN'>, handles=0, divisibility=None, "
-        "euler_class='primitive generator of H^2'), "
+        "orbit=OrbitRecipe(n=5, family=<Family.CPN: 'CPN'>, handles=0, divisibility=None), "
         "notes=('b_n = 0: the manifold is a homotopy sphere; the standard free action on "
         "S^11 applies',))",
     ),
@@ -72,7 +71,7 @@ SAMPLES = {
     ),
     "OrbitModel": (
         lambda: standard_orbit_model(5, Family.CPN, 0),
-        "OrbitModel(n=5, family=<Family.CPN: 'CPN'>, r=0, cohomology=GradedGroup("
+        "OrbitModel(cohomology=GradedGroup("
         "ranks=(1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1)), cup_t=mappingproxy("
         f"{{0: {_UNIT}, 2: {_UNIT}, 4: {_UNIT}, 6: {_UNIT}, 8: {_UNIT}}}))",
     ),
