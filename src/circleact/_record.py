@@ -1,8 +1,13 @@
 """Immutable value records on ``__slots__``, and the memo tables' holder.
 
 A record class declares its fields once, as ``__slots__`` in declaration
-order, and writes its own ``__init__`` that stores each field with
-``_set``.  The base supplies the rest of a frozen value type:
+order, and writes its own ``__init__`` that stores each field through
+``_put``: the ``__set__`` of each field's slot descriptor, bound once per
+class in ``_fields`` order, so a constructor unpacks them
+(``put_n, put_b_n, put_l = self._put``) and calls ``put_n(self, n)``.  A
+subclass that adds no slots looks the descriptors up on its bases and
+inherits working setters.  The base supplies the rest of a frozen value
+type:
 
 * field-wise ``__eq__`` and ``__hash__``, between instances of one class
   only (a record never equals a tuple or a record of another class);
@@ -26,8 +31,6 @@ from __future__ import annotations
 from enum import Enum
 from operator import attrgetter
 
-_set = object.__setattr__
-
 
 def _exact(value, kind: type, field: str, *where: int):
     """``value`` itself if its type is exactly ``kind``: no bool for an int,
@@ -47,6 +50,9 @@ class Record:
             name for base in reversed(cls.__mro__) for name in base.__dict__.get("__slots__", ())
         )
         cls._fields = fields
+        # a slot's own setter bypasses the refusing __setattr__ below, and
+        # calling it skips the by-name lookup of a generic setattr
+        cls._put = tuple(getattr(cls, name).__set__ for name in fields)
         get = attrgetter(*fields)  # one name gives the bare value, more a tuple
         cls._values = property(get if len(fields) > 1 else lambda record: (get(record),))
 

@@ -269,7 +269,9 @@ def im_j_order(k: int) -> int:
     closed form of von Staudt-Clausen and Adams, evaluated from the
     factorisation of k.
     """
-    if _exact(k, int, "k") < 1:
+    if type(k) is not int:
+        _exact(k, int, "k")
+    if k < 1:
         raise ValueError("index starts at 1")
     if k > _J_TABLE_CAP:
         return _im_j_closed_form(k)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from enum import Enum
 from math import factorial
 
-from ._record import Family, Record, _Table, _exact, _set
+from ._record import Family, Record, _Table, _exact
 from .bernoulli import im_j_order
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
@@ -55,9 +55,10 @@ class ManifoldInvariants(Record):
     __slots__ = ("n", "b_n", "l")
 
     def __init__(self, n: int, b_n: int, l: int | None = None) -> None:
-        _set(self, "n", _exact(n, int, "n"))
-        _set(self, "b_n", _exact(b_n, int, "b_n"))
-        _set(self, "l", 0 if l is None else _exact(l, int, "l"))
+        put_n, put_b_n, put_l = self._put
+        put_n(self, _exact(n, int, "n"))
+        put_b_n(self, _exact(b_n, int, "b_n"))
+        put_l(self, 0 if l is None else _exact(l, int, "l"))
 
 
 class DivisorReport(Record):
@@ -74,12 +75,13 @@ class DivisorReport(Record):
     def __init__(
         self, n: int, k: int, a_k: int, kervaire: int, j_index: int, required: int
     ) -> None:
-        _set(self, "n", n)
-        _set(self, "k", k)
-        _set(self, "a_k", a_k)
-        _set(self, "kervaire", kervaire)
-        _set(self, "j_index", j_index)
-        _set(self, "required", required)
+        put_n, put_k, put_a_k, put_kervaire, put_j_index, put_required = self._put
+        put_n(self, n)
+        put_k(self, k)
+        put_a_k(self, a_k)
+        put_kervaire(self, kervaire)
+        put_j_index(self, j_index)
+        put_required(self, required)
 
     def to_json_dict(self) -> dict:
         return dict(zip(self._fields, self._values))
@@ -112,8 +114,9 @@ class Witness(Record):
     def __init__(
         self, sphere_product_copies: int, bundle_divisibility: int | None = None
     ) -> None:
-        _set(self, "sphere_product_copies", sphere_product_copies)
-        _set(self, "bundle_divisibility", bundle_divisibility)
+        put_copies, put_divisibility = self._put
+        put_copies(self, sphere_product_copies)
+        put_divisibility(self, bundle_divisibility)
 
     def to_json_dict(self) -> dict:
         return dict(zip(self._fields, self._values))
@@ -135,10 +138,11 @@ class OrbitRecipe(Record):
     def __init__(
         self, n: int, family: Family, handles: int, divisibility: int | None = None
     ) -> None:
-        _set(self, "n", n)
-        _set(self, "family", family)
-        _set(self, "handles", handles)
-        _set(self, "divisibility", divisibility)
+        put_n, put_family, put_handles, put_divisibility = self._put
+        put_n(self, n)
+        put_family(self, family)
+        put_handles(self, handles)
+        put_divisibility(self, divisibility)
 
     def core_description(self) -> str:
         if self.family is Family.CPN:
@@ -183,11 +187,12 @@ class ClassificationResult(Record):
         orbit: OrbitRecipe | None,
         notes: tuple[str, ...] = (),
     ) -> None:
-        _set(self, "reason", reason)
-        _set(self, "divisors", divisors)
-        _set(self, "witness", witness)
-        _set(self, "orbit", orbit)
-        _set(self, "notes", notes)
+        put_reason, put_divisors, put_witness, put_orbit, put_notes = self._put
+        put_reason(self, reason)
+        put_divisors(self, divisors)
+        put_witness(self, witness)
+        put_orbit(self, orbit)
+        put_notes(self, notes)
 
     @property
     def admits(self) -> bool:
@@ -242,7 +247,9 @@ def _step_factorial(k: int) -> int:
 def required_divisor(n: int) -> DivisorReport:
     """Divisor report for n = 7 (mod 8): required = ((n-1)/2)! * den(B_k/4k)
     with k = (n+1)/4.  (1440 for n = 7, 2419200 for n = 15, ...)"""
-    if _exact(n, int, "n") % 8 != 7 or n < 7:
+    if type(n) is not int:
+        _exact(n, int, "n")
+    if n % 8 != 7 or n < 7:
         raise ValueError("divisor defined only for n = 7 (mod 8)")
     k = (n + 1) // 4
     # the index of p_k on stable bundles over S^{4k} is a_k (2k-1)!, where
@@ -255,15 +262,15 @@ def required_divisor(n: int) -> DivisorReport:
         kervaire = 2 * step
     j_index = im_j_order(k)
     required = step * j_index
-    return DivisorReport(
-        n=n, k=k, a_k=1, kervaire=kervaire, j_index=j_index, required=required
-    )
+    return DivisorReport(n, k, 1, kervaire, j_index, required)
 
 
 def _divisor_report(inv: ManifoldInvariants) -> DivisorReport | None:
     """The divisor report when n = 7 (mod 8), else None."""
-    _exact(inv, ManifoldInvariants, "inv")
-    return required_divisor(inv.n) if inv.n % 8 == 7 and inv.n >= 7 else None
+    if type(inv) is not ManifoldInvariants:
+        _exact(inv, ManifoldInvariants, "inv")
+    n = inv.n
+    return required_divisor(n) if n % 8 == 7 and n >= 7 else None
 
 
 def _violations(inv: ManifoldInvariants, report: DivisorReport | None) -> list[str]:
@@ -294,16 +301,14 @@ def validate(inv: ManifoldInvariants) -> list[str]:
 
 def _witness(b_n: int, l: int) -> Witness:
     if l == 0:
-        return Witness(sphere_product_copies=b_n)
-    return Witness(sphere_product_copies=b_n - 1, bundle_divisibility=l)
+        return Witness(b_n, None)
+    return Witness(b_n - 1, l)
 
 
 def _orbit_recipe(n: int, b_n: int, d: int | None) -> OrbitRecipe:
     if b_n % 2 == 0:
-        return OrbitRecipe(n=n, family=Family.CPN, handles=b_n // 2)
-    return OrbitRecipe(
-        n=n, family=Family.CPHALF_TIMES_SPHERE, handles=(b_n - 1) // 2, divisibility=d
-    )
+        return OrbitRecipe(n, Family.CPN, b_n // 2, None)
+    return OrbitRecipe(n, Family.CPHALF_TIMES_SPHERE, (b_n - 1) // 2, d)
 
 
 def classify(inv: ManifoldInvariants) -> ClassificationResult:
@@ -317,40 +322,28 @@ def classify(inv: ManifoldInvariants) -> ClassificationResult:
     if violations:
         raise InvalidInvariantsError(violations)
 
-    notes: list[str] = []
-    if inv.b_n == 0:
-        notes.append(
-            "b_n = 0: the manifold is a homotopy sphere; the standard free "
-            f"action on S^{2 * inv.n + 1} applies"
-        )
-
-    if inv.n % 8 == 5:
-        # the middle Pontrjagin index (n+1)/4 is not an integer there
-        if inv.l:
-            notes.append("l ignored for n = 5 (mod 8)")
-        return ClassificationResult(
-            reason=ReasonCode.N5_ALWAYS,
-            divisors=None,
-            witness=_witness(inv.b_n, 0),
-            orbit=_orbit_recipe(inv.n, inv.b_n, None),
-            notes=tuple(notes),
-        )
-
-    l = inv.l
-    if inv.b_n % 2 == 0:
-        reason = ReasonCode.EVEN_L_ZERO if l == 0 else ReasonCode.EVEN_L_NONZERO
-    else:
-        # 0 is divisible by everything, so l = 0 admits here too
-        reason = (
-            ReasonCode.ODD_DIVISIBLE
-            if l % report.required == 0
-            else ReasonCode.ODD_NOT_DIVISIBLE
-        )
-    orbit = _orbit_recipe(inv.n, inv.b_n, l) if reason.admits else None
-    return ClassificationResult(
-        reason=reason,
-        divisors=report,
-        witness=_witness(inv.b_n, l),
-        orbit=orbit,
-        notes=tuple(notes),
+    n, b_n, l = inv.n, inv.b_n, inv.l
+    notes = () if b_n else (
+        "b_n = 0: the manifold is a homotopy sphere; the standard free "
+        f"action on S^{2 * n + 1} applies",
     )
+
+    if n % 8 == 5:
+        # the middle Pontrjagin index (n+1)/4 is not an integer there
+        if l:
+            notes += ("l ignored for n = 5 (mod 8)",)
+        return ClassificationResult(
+            ReasonCode.N5_ALWAYS, None, _witness(b_n, 0), _orbit_recipe(n, b_n, None), notes
+        )
+
+    # each branch names the reason and, when it admits, the orbit recipe
+    if b_n % 2 == 0:
+        if l == 0:
+            reason, orbit = ReasonCode.EVEN_L_ZERO, _orbit_recipe(n, b_n, l)
+        else:
+            reason, orbit = ReasonCode.EVEN_L_NONZERO, None
+    elif l % report.required == 0:  # 0 is divisible by everything, so l = 0 admits
+        reason, orbit = ReasonCode.ODD_DIVISIBLE, _orbit_recipe(n, b_n, l)
+    else:
+        reason, orbit = ReasonCode.ODD_NOT_DIVISIBLE, None
+    return ClassificationResult(reason, report, _witness(b_n, l), orbit, notes)

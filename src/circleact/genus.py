@@ -35,7 +35,7 @@ from functools import lru_cache
 from math import factorial, gcd, lcm
 from operator import lt
 
-from ._record import Record, _exact, _set
+from ._record import Record, _exact
 from .bernoulli import bernoulli_ms
 
 __all__ = [
@@ -71,8 +71,13 @@ class PontrjaginPolynomial(Record):
     def __init__(self, degree: int, terms: dict[tuple[int, ...], Fraction]) -> None:
         if _exact(degree, int, "degree") < 1:
             raise ValueError("degree starts at 1")
+        items = getattr(terms, "items", None)
+        if not callable(items):
+            raise ValueError(
+                f"terms must be a mapping from part tuples to coefficients, got {terms!r}"
+            )
         checked = {}
-        for parts, c in terms.items():
+        for parts, c in items():
             parts = _checked_parts(parts)
             if sum(parts) != degree:
                 raise ValueError(
@@ -87,9 +92,10 @@ class PontrjaginPolynomial(Record):
                 c = Fraction(c)
             if c:
                 checked[parts] = c
-        _set(self, "degree", degree)
+        put_degree, put_terms = self._put
+        put_degree(self, degree)
         # lexicographic on decreasing part tuples, largest first: deterministic output
-        _set(self, "_terms", dict(sorted(checked.items(), reverse=True)))
+        put_terms(self, dict(sorted(checked.items(), reverse=True)))
 
     @property
     def terms(self) -> dict[tuple[int, ...], Fraction]:

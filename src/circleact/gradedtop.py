@@ -20,7 +20,7 @@ from math import gcd, isqrt
 from operator import add, mul, sub
 from types import MappingProxyType
 
-from ._record import Family, Record, _exact, _set
+from ._record import Family, Record, _exact
 
 __all__ = [
     "IntMatrix",
@@ -46,9 +46,10 @@ class IntMatrix(Record):
             tuple(_exact(x, int, "matrix entry [{}][{}]", i, j) for j, x in enumerate(row))
             for i, row in enumerate(entries)
         )
-        _set(self, "rows", _exact(rows, int, "rows"))
-        _set(self, "cols", _exact(cols, int, "cols"))
-        _set(self, "entries", entries)
+        put_rows, put_cols, put_entries = self._put
+        put_rows(self, _exact(rows, int, "rows"))
+        put_cols(self, _exact(cols, int, "cols"))
+        put_entries(self, entries)
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(entries) != rows or any(len(row) != cols for row in entries):
@@ -62,7 +63,11 @@ class IntMatrix(Record):
 
     @classmethod
     def from_rows(cls, rows: list[list[int]]) -> "IntMatrix":
-        return cls(len(rows), len(rows[0]) if rows else 0, tuple(tuple(r) for r in rows))
+        try:
+            entries = tuple(map(tuple, rows))
+        except TypeError:
+            raise ValueError(f"rows must be a list of rows of ints, got {rows!r}") from None
+        return cls(len(entries), len(entries[0]) if entries else 0, entries)
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
@@ -75,7 +80,8 @@ class SNFResult(Record):
     __slots__ = ("invariant_factors",)
 
     def __init__(self, invariant_factors: tuple[int, ...]) -> None:
-        _set(self, "invariant_factors", invariant_factors)
+        (put_factors,) = self._put
+        put_factors(self, invariant_factors)
 
     @property
     def rank(self) -> int:
@@ -230,11 +236,15 @@ class GradedGroup(Record):
 
     def __init__(self, ranks: tuple[int, ...]) -> None:
         # one built-in pass over the types; the loop only names the degree
-        ranks = tuple(ranks)
+        try:
+            ranks = tuple(ranks)
+        except TypeError:
+            raise ValueError(f"ranks must be a sequence of ints, got {ranks!r}") from None
         if not set(map(type, ranks)) <= {int}:
             for j, r in enumerate(ranks):
                 _exact(r, int, "rank at degree {}", j)
-        _set(self, "ranks", ranks)
+        (put_ranks,) = self._put
+        put_ranks(self, ranks)
         if not ranks:
             raise ValueError("top degree must be nonnegative")
         if min(ranks) < 0:
@@ -274,8 +284,15 @@ class OrbitModel(Record):
     __slots__ = ("cohomology", "cup_t")
 
     def __init__(self, cohomology: GradedGroup, cup_t: dict[int, IntMatrix]) -> None:
-        _set(self, "cohomology", _exact(cohomology, GradedGroup, "cohomology"))
-        _set(self, "cup_t", MappingProxyType(dict(cup_t)))
+        put_cohomology, put_cup_t = self._put
+        put_cohomology(self, _exact(cohomology, GradedGroup, "cohomology"))
+        try:
+            cup = dict(cup_t)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"cup_t must be a mapping from degree to IntMatrix, got {cup_t!r}"
+            ) from None
+        put_cup_t(self, MappingProxyType(cup))
         top = cohomology.top_degree
         if top < 10 or top % 4 != 2:  # top = 2n with n odd and at least 5
             raise ValueError("dimension out of scope")

@@ -30,7 +30,7 @@ from itertools import combinations
 from math import comb, factorial, gcd
 
 from . import bernoulli, classifier, genus, gradedtop
-from ._record import Record, _set
+from ._record import Record
 from .classifier import ManifoldInvariants, ReasonCode
 from .gradedtop import Family, IntMatrix
 
@@ -414,8 +414,9 @@ class SelfTestReport(Record):
     __slots__ = ("passed", "failures")
 
     def __init__(self, passed: int, failures: list[tuple[str, str]]) -> None:
-        _set(self, "passed", passed)
-        _set(self, "failures", failures)
+        put_passed, put_failures = self._put
+        put_passed(self, passed)
+        put_failures(self, failures)
 
     @property
     def failed(self) -> int:

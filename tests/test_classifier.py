@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import warnings
@@ -294,8 +295,45 @@ def test_result_json_schema():
 
 def test_reason_code_admits_property():
     admitting = {ReasonCode.N5_ALWAYS, ReasonCode.EVEN_L_ZERO, ReasonCode.ODD_DIVISIBLE}
+    assert len(ReasonCode) == 6
     for code in ReasonCode:
-        assert code.admits == (code in admitting)
+        assert code.admits is (code in admitting)
+    # classify picks the recipe without asking admits: a recipe exactly
+    # when the reason admits
+    for n, b_n, l in ((5, 1, 0), (7, 2, 0), (7, 1, 1440), (7, 2, 12), (7, 1, 12)):
+        result = classify(ManifoldInvariants(n, b_n, l))
+        assert result.admits is result.reason.admits is (result.reason in admitting)
+        assert (result.orbit is not None) is result.admits
+
+
+def _pinned_decisions():
+    """One line per decision over n = 5..1023 (n = 5 or 7 mod 8), b_n = 0..3
+    and l in {0, 1} for n = 5 mod 8, else l in {0, kervaire, required,
+    3 required, kervaire + 1, -kervaire}: the result's repr, or the
+    violations of a refused input."""
+    for n in range(5, 1024):
+        if n % 8 == 5:
+            ls = (0, 1)
+        elif n % 8 == 7:
+            d = required_divisor(n)
+            ls = (0, d.kervaire, d.required, 3 * d.required, d.kervaire + 1, -d.kervaire)
+        else:
+            continue
+        for b_n in range(4):
+            for l in ls:
+                try:
+                    yield repr(classify(ManifoldInvariants(n, b_n, l)))
+                except InvalidInvariantsError as exc:
+                    yield repr(exc.violations)
+
+
+def test_classify_output_is_pinned():
+    # every reason code, field, note and violation of 4,096 decisions, byte
+    # for byte, so a faster record build cannot change an answer
+    lines = list(_pinned_decisions())
+    assert len(lines) == 4096
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "b7dd0fd9e85b656dd6a7786272c4f4337f85bd52a1827d7db9a45e810f2c9634"
 
 
 def test_euler_char_cp():

@@ -1,6 +1,7 @@
 """The package surface and the result records: each public name and each
 stored field is declared once, and every copy is derived from it."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -65,6 +66,48 @@ def test_entry_points_name_an_argument_of_the_wrong_type(call, message):
     # each died with a bare AttributeError: '<type>' object has no attribute ...
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# the cohomology of CP^5, which a cup_t of the wrong shape is paired with
+_COHOMOLOGY = gradedtop.GradedGroup((1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "call, field",
+    [
+        (lambda: genus.PontrjaginPolynomial(2, 5), "terms"),
+        (lambda: gradedtop.OrbitModel(_COHOMOLOGY, 5), "cup_t"),
+        (lambda: gradedtop.OrbitModel(_COHOMOLOGY, [[1]]), "cup_t"),
+        (lambda: gradedtop.GradedGroup(5), "ranks"),
+        (lambda: gradedtop.IntMatrix.from_rows([1]), "rows"),
+    ],
+    ids=["PontrjaginPolynomial", "OrbitModel-int", "OrbitModel-rows", "GradedGroup",
+         "IntMatrix.from_rows"],
+)
+def test_constructors_name_a_field_of_the_wrong_shape(call, field):
+    # each died with a bare TypeError or AttributeError, or a ValueError
+    # from dict that named no field
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        call()
+
+
+def test_library_stores_fields_only_through_slot_setters():
+    # a record field has one way to be stored: its class's _put
+    found = []
+    for path in sorted(Path(circleact.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name) and node.id == "_set":
+                found.append((path.name, node.lineno, "_set"))
+            elif isinstance(node, ast.alias) and node.name == "_set":
+                found.append((path.name, "import", "_set"))
+            elif (
+                isinstance(node, ast.Attribute)
+                and node.attr == "__setattr__"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "object"
+            ):
+                found.append((path.name, node.lineno, "object.__setattr__"))
+    assert found == []
 
 
 @pytest.mark.parametrize("reason", list(ReasonCode))

@@ -125,6 +125,17 @@ def test_never_equal_to_a_tuple_or_another_class(make):
     assert repr(twin).startswith("Twin(")
 
 
+@pytest.mark.parametrize(
+    "cls", sorted(Record.__subclasses__(), key=lambda c: c.__name__), ids=lambda c: c.__name__
+)
+def test_one_bound_setter_per_field(cls):
+    twin = type("Twin", (cls,), {"__slots__": ()})
+    for c in (cls, twin):
+        assert len(c._put) == len(c._fields)
+    # the twin inherits its base's slot descriptors, so its setters are theirs
+    assert twin._put == cls._put
+
+
 def test_same_values_in_two_classes_differ():
     assert GradedGroup((1, 2)) != SNFResult((1, 2))
     assert SNFResult((1, 2)) != GradedGroup((1, 2))
