@@ -1,13 +1,15 @@
 """Immutable value records on ``__slots__``, and the memo tables' holder.
 
 A record class declares its fields once, as ``__slots__`` in declaration
-order, and writes its own ``__init__`` that stores each field through
-``_put``: the ``__set__`` of each field's slot descriptor, bound once per
-class in ``_fields`` order, so a constructor unpacks them
-(``put_n, put_b_n, put_l = self._put``) and calls ``put_n(self, n)``.  A
-subclass that adds no slots looks the descriptors up on its bases and
-inherits working setters.  The base supplies the rest of a frozen value
-type:
+order, and ``Record.__init_subclass__`` generates its field store from
+them with one ``exec``, as ``collections.namedtuple`` does:
+``def __init__(self, f1, ..., fk): _set0(self, f1); ...``, each ``_set``
+the ``__set__`` of a field's slot, bound once per class.  The store is
+``cls._store``, and the constructor too when no class in the MRO writes an
+``__init__``; ``defaults=`` in the class line defaults the last fields.  A
+checked record's ``__init__`` ends with ``self._store(...)``.  A subclass
+that adds no slots generates nothing and inherits both, checks included.
+The base supplies the rest of a frozen value type:
 
 * field-wise ``__eq__`` and ``__hash__``, between instances of one class
   only (a record never equals a tuple or a record of another class);
@@ -44,17 +46,29 @@ def _exact(value, kind: type, field: str, *where: int):
 class Record:
     __slots__ = ()
 
-    def __init_subclass__(cls, **kwargs) -> None:
+    def __init_subclass__(cls, defaults=(), **kwargs) -> None:
         super().__init_subclass__(**kwargs)
+        if not cls.__dict__.get("__slots__"):
+            return  # no new field: the base's store and constructor serve
         fields = tuple(
             name for base in reversed(cls.__mro__) for name in base.__dict__.get("__slots__", ())
         )
         cls._fields = fields
-        # a slot's own setter bypasses the refusing __setattr__ below, and
-        # calling it skips the by-name lookup of a generic setattr
-        cls._put = tuple(getattr(cls, name).__set__ for name in fields)
         get = attrgetter(*fields)  # one name gives the bare value, more a tuple
         cls._values = property(get if len(fields) > 1 else lambda record: (get(record),))
+        # the template sees only the library's own __slots__ names; a slot's
+        # setter bypasses the refusing __setattr__ below and the by-name
+        # lookup of a generic setattr
+        namespace = {f"_set{i}": getattr(cls, name).__set__ for i, name in enumerate(fields)}
+        namespace["__name__"] = cls.__module__
+        body = "".join(f"\n    _set{i}(self, {name})" for i, name in enumerate(fields))
+        exec(f"def __init__(self, {', '.join(fields)}):{body}", namespace)
+        store = namespace["__init__"]
+        store.__qualname__ = f"{cls.__qualname__}.__init__"
+        store.__defaults__ = defaults
+        if cls.__init__ in (object.__init__, getattr(cls, "_store", None)):
+            cls.__init__ = store  # no hand-written constructor above this class
+        cls._store = store
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:

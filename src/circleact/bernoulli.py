@@ -25,8 +25,9 @@ so ``classifier.classify`` never touches the Bernoulli table.  For
 k <= 4096 the value is read from a second table, which a sieve over the
 new entries extends to at least twice its length.  Larger k take the
 closed form evaluated from the factorisation of k, which trial-divides
-below 2^20, splits what is left with Pollard-Brent rho under a fixed step budget and refuses a k with more
-than 2^14 divisors, so every k is answered or refused quickly.
+below 2^20, splits what is left with Pollard-Brent rho under a fixed step
+budget and refuses a k with more than 2^14 divisors, so every k is answered
+or refused quickly.
 """
 
 from __future__ import annotations

@@ -55,10 +55,9 @@ class ManifoldInvariants(Record):
     __slots__ = ("n", "b_n", "l")
 
     def __init__(self, n: int, b_n: int, l: int | None = None) -> None:
-        put_n, put_b_n, put_l = self._put
-        put_n(self, _exact(n, int, "n"))
-        put_b_n(self, _exact(b_n, int, "b_n"))
-        put_l(self, 0 if l is None else _exact(l, int, "l"))
+        self._store(
+            _exact(n, int, "n"), _exact(b_n, int, "b_n"), 0 if l is None else _exact(l, int, "l")
+        )
 
 
 class DivisorReport(Record):
@@ -71,17 +70,6 @@ class DivisorReport(Record):
     """
 
     __slots__ = ("n", "k", "a_k", "kervaire", "j_index", "required")
-
-    def __init__(
-        self, n: int, k: int, a_k: int, kervaire: int, j_index: int, required: int
-    ) -> None:
-        put_n, put_k, put_a_k, put_kervaire, put_j_index, put_required = self._put
-        put_n(self, n)
-        put_k(self, k)
-        put_a_k(self, a_k)
-        put_kervaire(self, kervaire)
-        put_j_index(self, j_index)
-        put_required(self, required)
 
     def to_json_dict(self) -> dict:
         return dict(zip(self._fields, self._values))
@@ -104,19 +92,12 @@ class ReasonCode(str, Enum):
         )
 
 
-class Witness(Record):
+class Witness(Record, defaults=(None,)):
     """Connected-sum normal form of the input manifold: copies of
     S^n x S^{n+1}, plus (when the Pontrjagin class is nonzero) one linear
     S^n-bundle over S^{n+1} with Euler class 0 and p-divisibility l."""
 
     __slots__ = ("sphere_product_copies", "bundle_divisibility")
-
-    def __init__(
-        self, sphere_product_copies: int, bundle_divisibility: int | None = None
-    ) -> None:
-        put_copies, put_divisibility = self._put
-        put_copies(self, sphere_product_copies)
-        put_divisibility(self, bundle_divisibility)
 
     def to_json_dict(self) -> dict:
         return dict(zip(self._fields, self._values))
@@ -127,22 +108,13 @@ class Witness(Record):
 _EULER_CLASS = "primitive generator of H^2"
 
 
-class OrbitRecipe(Record):
+class OrbitRecipe(Record, defaults=(None,)):
     """Symbolic orbit space realizing the action: r handle summands
     S^n x S^n connect-summed with either CP^n or CP^{(n-1)/2} x S^{n+1}
     (the latter carrying middle Pontrjagin divisibility d when n = 7 mod 8),
     with the circle bundle over it classified by a primitive Euler class."""
 
     __slots__ = ("n", "family", "handles", "divisibility")
-
-    def __init__(
-        self, n: int, family: Family, handles: int, divisibility: int | None = None
-    ) -> None:
-        put_n, put_family, put_handles, put_divisibility = self._put
-        put_n(self, n)
-        put_family(self, family)
-        put_handles(self, handles)
-        put_divisibility(self, divisibility)
 
     def core_description(self) -> str:
         if self.family is Family.CPN:
@@ -176,23 +148,8 @@ class OrbitRecipe(Record):
         }
 
 
-class ClassificationResult(Record):
+class ClassificationResult(Record, defaults=((),)):
     __slots__ = ("reason", "divisors", "witness", "orbit", "notes")
-
-    def __init__(
-        self,
-        reason: ReasonCode,
-        divisors: DivisorReport | None,
-        witness: Witness | None,
-        orbit: OrbitRecipe | None,
-        notes: tuple[str, ...] = (),
-    ) -> None:
-        put_reason, put_divisors, put_witness, put_orbit, put_notes = self._put
-        put_reason(self, reason)
-        put_divisors(self, divisors)
-        put_witness(self, witness)
-        put_orbit(self, orbit)
-        put_notes(self, notes)
 
     @property
     def admits(self) -> bool:

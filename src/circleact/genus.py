@@ -92,10 +92,8 @@ class PontrjaginPolynomial(Record):
                 c = Fraction(c)
             if c:
                 checked[parts] = c
-        put_degree, put_terms = self._put
-        put_degree(self, degree)
         # lexicographic on decreasing part tuples, largest first: deterministic output
-        put_terms(self, dict(sorted(checked.items(), reverse=True)))
+        self._store(degree, dict(sorted(checked.items(), reverse=True)))
 
     @property
     def terms(self) -> dict[tuple[int, ...], Fraction]:

@@ -46,14 +46,13 @@ class IntMatrix(Record):
             tuple(_exact(x, int, "matrix entry [{}][{}]", i, j) for j, x in enumerate(row))
             for i, row in enumerate(entries)
         )
-        put_rows, put_cols, put_entries = self._put
-        put_rows(self, _exact(rows, int, "rows"))
-        put_cols(self, _exact(cols, int, "cols"))
-        put_entries(self, entries)
+        _exact(rows, int, "rows")
+        _exact(cols, int, "cols")
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(entries) != rows or any(len(row) != cols for row in entries):
             raise ValueError("entry grid does not match declared dimensions")
+        self._store(rows, cols, entries)
 
     def __hash__(self) -> int:
         # equal matrices have equal entries, and hashing them alone is
@@ -78,10 +77,6 @@ class SNFResult(Record):
     matrix."""
 
     __slots__ = ("invariant_factors",)
-
-    def __init__(self, invariant_factors: tuple[int, ...]) -> None:
-        (put_factors,) = self._put
-        put_factors(self, invariant_factors)
 
     @property
     def rank(self) -> int:
@@ -243,12 +238,11 @@ class GradedGroup(Record):
         if not set(map(type, ranks)) <= {int}:
             for j, r in enumerate(ranks):
                 _exact(r, int, "rank at degree {}", j)
-        (put_ranks,) = self._put
-        put_ranks(self, ranks)
         if not ranks:
             raise ValueError("top degree must be nonnegative")
         if min(ranks) < 0:
             raise ValueError("ranks must be nonnegative")
+        self._store(ranks)
 
     @property
     def top_degree(self) -> int:
@@ -284,15 +278,13 @@ class OrbitModel(Record):
     __slots__ = ("cohomology", "cup_t")
 
     def __init__(self, cohomology: GradedGroup, cup_t: dict[int, IntMatrix]) -> None:
-        put_cohomology, put_cup_t = self._put
-        put_cohomology(self, _exact(cohomology, GradedGroup, "cohomology"))
+        _exact(cohomology, GradedGroup, "cohomology")
         try:
             cup = dict(cup_t)
         except (TypeError, ValueError):
             raise ValueError(
                 f"cup_t must be a mapping from degree to IntMatrix, got {cup_t!r}"
             ) from None
-        put_cup_t(self, MappingProxyType(cup))
         top = cohomology.top_degree
         if top < 10 or top % 4 != 2:  # top = 2n with n odd and at least 5
             raise ValueError("dimension out of scope")
@@ -304,7 +296,7 @@ class OrbitModel(Record):
             raise ValueError("middle rank must be even")
         if ranks != ranks[::-1]:
             raise ValueError("ranks must satisfy Poincare duality")
-        for j, mat in self.cup_t.items():
+        for j, mat in cup.items():
             # type tests inline, _exact only for its message: a call per
             # degree would slow the build of every model
             if type(j) is not int:
@@ -315,9 +307,10 @@ class OrbitModel(Record):
                 _exact(mat, IntMatrix, "cup map at degree {}", j)
             if mat.cols != ranks[j] or mat.rows != ranks[j + 2]:
                 raise ValueError(f"cup map at degree {j} has wrong shape")
-        unit = self.cup_t.get(0)  # None is the zero map
+        unit = cup.get(0)  # None is the zero map
         if unit is None or unit.entries not in (((1,),), ((-1,),)):
             raise ValueError("a primitive Euler class needs cup_t[0] = [[1]] or [[-1]]")
+        self._store(cohomology, MappingProxyType(cup))
 
     @property
     def n(self) -> int:

@@ -413,11 +413,6 @@ CHECKS: list[tuple[str, object]] = [
 class SelfTestReport(Record):
     __slots__ = ("passed", "failures")
 
-    def __init__(self, passed: int, failures: list[tuple[str, str]]) -> None:
-        put_passed, put_failures = self._put
-        put_passed(self, passed)
-        put_failures(self, failures)
-
     @property
     def failed(self) -> int:
         return len(self.failures)

@@ -1,6 +1,7 @@
 """The result records behave as frozen value types: field-wise equality and
 hash within one class, the ``Name(field=value, ...)`` repr, immutability,
-and pickle and copy round trips through the constructor."""
+pickle and copy round trips through the constructor, and the constructors
+that ``Record`` generates from each class's ``__slots__``."""
 
 import copy
 import pickle
@@ -9,8 +10,11 @@ import pytest
 
 from circleact._record import Record
 from circleact.classifier import (
+    ClassificationResult,
+    DivisorReport,
     ManifoldInvariants,
     OrbitRecipe,
+    ReasonCode,
     Witness,
     classify,
     required_divisor,
@@ -125,15 +129,65 @@ def test_never_equal_to_a_tuple_or_another_class(make):
     assert repr(twin).startswith("Twin(")
 
 
-@pytest.mark.parametrize(
-    "cls", sorted(Record.__subclasses__(), key=lambda c: c.__name__), ids=lambda c: c.__name__
-)
+RECORD_CLASSES = sorted(Record.__subclasses__(), key=lambda c: c.__name__)
+# the records whose constructor is the generated store: they check nothing
+PLAIN = {DivisorReport, Witness, OrbitRecipe, ClassificationResult, SNFResult, SelfTestReport}
+
+
+@pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda c: c.__name__)
 def test_one_bound_setter_per_field(cls):
+    # the generated store calls the __set__ of each field's slot, bound once
+    # per class, in field order
+    setters = [cls._store.__globals__[f"_set{i}"] for i in range(len(cls._fields))]
+    assert setters == [getattr(cls, name).__set__ for name in cls._fields]
+    # a twin adds no slot, so it generates nothing and keeps its base's
+    twin = type("Twin", (cls,), {"__slots__": ()})
+    assert twin._store is cls._store and twin.__init__ is cls.__init__
+
+
+def test_plain_records_are_built_by_their_store():
+    assert {cls for cls in RECORD_CLASSES if cls.__init__ is cls._store} == PLAIN
+
+
+@sample
+def test_positional_and_keyword_rebuilds_are_equal(make):
+    record = make()
+    cls = type(record)
+    assert cls(*record._values) == record
+    if cls in PLAIN:
+        assert cls(**dict(zip(cls._fields, record._values))) == record
+
+
+@pytest.mark.parametrize(
+    "build, field, default",
+    [
+        (lambda: Witness(2), "bundle_divisibility", None),
+        (lambda: Witness(sphere_product_copies=3), "bundle_divisibility", None),
+        (lambda: OrbitRecipe(5, Family.CPN, 0), "divisibility", None),
+        (lambda: ClassificationResult(ReasonCode.N5_ALWAYS, None, None, None), "notes", ()),
+    ],
+    ids=["Witness", "Witness-keyword", "OrbitRecipe", "ClassificationResult"],
+)
+def test_omitted_defaults(build, field, default):
+    assert getattr(build(), field) == default
+
+
+@pytest.mark.parametrize(
+    "cls, args, message",
+    [
+        (IntMatrix, (1, 1, ((1.5,),)), "matrix entry [0][0] must be of type int, got 1.5"),
+        (IntMatrix, (2, 1, ((1,),)), "entry grid does not match declared dimensions"),
+        (ManifoldInvariants, (7, True), "b_n must be of type int, got True"),
+        (ManifoldInvariants, (7.0, 1), "n must be of type int, got 7.0"),
+    ],
+    ids=["IntMatrix-entry", "IntMatrix-grid", "ManifoldInvariants-b_n", "ManifoldInvariants-n"],
+)
+def test_twin_of_a_checked_record_keeps_its_checks(cls, args, message):
     twin = type("Twin", (cls,), {"__slots__": ()})
     for c in (cls, twin):
-        assert len(c._put) == len(c._fields)
-    # the twin inherits its base's slot descriptors, so its setters are theirs
-    assert twin._put == cls._put
+        with pytest.raises(ValueError) as info:
+            c(*args)
+        assert str(info.value) == message
 
 
 def test_same_values_in_two_classes_differ():
@@ -170,8 +224,11 @@ def test_pickle_and_copy_round_trip(make):
 @sample
 def test_unknown_keyword_is_a_type_error(make):
     cls, values = make().__reduce__()
-    with pytest.raises(TypeError):
-        cls(*values, not_a_field=0)
+    for call in (lambda: cls(*values, not_a_field=0), lambda: cls(*values, 0), lambda: cls()):
+        with pytest.raises(TypeError) as info:
+            call()
+        # the generated constructors name the class as hand-written ones do
+        assert str(info.value).startswith(f"{cls.__qualname__}.__init__()")
 
 
 def test_orbit_model_is_unhashable():
