@@ -14,6 +14,9 @@ The base supplies the rest of a frozen value type:
 * field-wise ``__eq__`` and ``__hash__``, between instances of one class
   only (a record never equals a tuple or a record of another class);
 * the ``Name(field=value, ...)`` repr;
+* ``to_json_dict``, the fields by name in slot order: a record field by its
+  own ``to_json_dict``, an enum by its value, a tuple or list as a list, a
+  read-only mapping as a dict with string keys, anything else as it is;
 * ``__reduce__``, so pickle, ``copy.copy`` and ``copy.deepcopy`` rebuild a
   record through its constructor, checks included;
 * ``__setattr__`` and ``__delattr__`` that raise ``AttributeError``.
@@ -32,6 +35,7 @@ from __future__ import annotations
 
 from enum import Enum
 from operator import attrgetter
+from types import MappingProxyType
 
 
 def _exact(value, kind: type, field: str, *where: int):
@@ -87,11 +91,26 @@ class Record:
     def __reduce__(self):
         return type(self), self._values
 
+    def to_json_dict(self) -> dict:
+        return {name: _json_value(value) for name, value in zip(self._fields, self._values)}
+
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _json_value(value):
+    if isinstance(value, Record):
+        return value.to_json_dict()
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (tuple, list)):
+        return [_json_value(item) for item in value]
+    if isinstance(value, MappingProxyType):
+        return {str(key): _json_value(item) for key, item in value.items()}
+    return value
 
 
 class _Table:

@@ -71,9 +71,6 @@ class DivisorReport(Record):
 
     __slots__ = ("n", "k", "a_k", "kervaire", "j_index", "required")
 
-    def to_json_dict(self) -> dict:
-        return dict(zip(self._fields, self._values))
-
 
 class ReasonCode(str, Enum):
     N5_ALWAYS = "N5_ALWAYS"
@@ -99,22 +96,26 @@ class Witness(Record, defaults=(None,)):
 
     __slots__ = ("sphere_product_copies", "bundle_divisibility")
 
-    def to_json_dict(self) -> dict:
-        return dict(zip(self._fields, self._values))
-
 
 # the Euler class of every recipe's circle bundle, as ``describe`` and the
 # JSON "euler_class" key name it
 _EULER_CLASS = "primitive generator of H^2"
 
 
-class OrbitRecipe(Record, defaults=(None,)):
+class OrbitRecipe(Record):
     """Symbolic orbit space realizing the action: r handle summands
     S^n x S^n connect-summed with either CP^n or CP^{(n-1)/2} x S^{n+1}
     (the latter carrying middle Pontrjagin divisibility d when n = 7 mod 8),
-    with the circle bundle over it classified by a primitive Euler class."""
+    with the circle bundle over it classified by a primitive Euler class.
+    ``family`` is a ``Family`` or its name; another name is a ValueError."""
 
     __slots__ = ("n", "family", "handles", "divisibility")
+
+    def __init__(
+        self, n: int, family: Family | str, handles: int, divisibility: int | None = None
+    ) -> None:
+        # the type test inline: classify builds one recipe per admitting decision
+        self._store(n, family if type(family) is Family else Family(family), handles, divisibility)
 
     def core_description(self) -> str:
         if self.family is Family.CPN:
@@ -138,14 +139,7 @@ class OrbitRecipe(Record, defaults=(None,)):
         return standard_orbit_model(self.n, self.family, self.handles)
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "family": self.family.value,
-            "handles": self.handles,
-            "divisibility": self.divisibility,
-            "euler_class": _EULER_CLASS,
-            "description": self.describe(),
-        }
+        return {**super().to_json_dict(), "euler_class": _EULER_CLASS, "description": self.describe()}
 
 
 class ClassificationResult(Record, defaults=((),)):
@@ -156,14 +150,7 @@ class ClassificationResult(Record, defaults=((),)):
         return self.reason.admits
 
     def to_json_dict(self) -> dict:
-        return {
-            "admits": self.admits,
-            "reason": self.reason.value,
-            "divisors": self.divisors.to_json_dict() if self.divisors else None,
-            "witness": self.witness.to_json_dict() if self.witness else None,
-            "orbit": self.orbit.to_json_dict() if self.orbit else None,
-            "notes": list(self.notes),
-        }
+        return {"admits": self.admits, **super().to_json_dict()}
 
 
 class InvalidInvariantsError(ValueError):

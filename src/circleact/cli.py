@@ -114,9 +114,7 @@ def _emit(payload: dict, text_lines: list[str], fmt: str, out) -> None:
 
 def _fail(error: dict) -> int:
     """Report a domain error as one JSON line on stderr; exit code 1."""
-    import json
-
-    print(json.dumps(error), file=sys.stderr)
+    _emit(error, [], "json", sys.stderr)
     return 1
 
 

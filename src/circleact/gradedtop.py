@@ -54,12 +54,6 @@ class IntMatrix(Record):
             raise ValueError("entry grid does not match declared dimensions")
         self._store(rows, cols, entries)
 
-    def __hash__(self) -> int:
-        # equal matrices have equal entries, and hashing them alone is
-        # cheaper than hashing every field: the Gysin engine keys its SNF
-        # memo by matrix
-        return hash(self.entries)
-
     @classmethod
     def from_rows(cls, rows: list[list[int]]) -> "IntMatrix":
         try:

@@ -2,7 +2,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import shlex
 import subprocess
 import sys
@@ -12,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import circleact
 from circleact import selftest
 from circleact.classifier import ManifoldInvariants, classify, validate
 from circleact.cli import main
@@ -120,10 +118,10 @@ def test_imj_domain_error(capsys):
         "23768741896345550770650537601358310",
     ],
 )
-def test_imj_refuses_a_k_with_too_many_divisors(k):
+def test_imj_refuses_a_k_with_too_many_divisors(k, package_env):
     proc = subprocess.run(
         [sys.executable, "-m", "circleact", "imj", "--k", k],
-        env=_package_env(), capture_output=True, text=True, timeout=2,
+        env=package_env, capture_output=True, text=True, timeout=2,
     )
     assert (proc.returncode, proc.stdout) == (1, "")
     assert "divisors" in json.loads(proc.stderr)["error"]
@@ -353,22 +351,12 @@ def test_main_restores_the_digit_limit(capsys):
         sys.set_int_max_str_digits(before)
 
 
-def _package_env():
-    """The environment for a child ``python -m circleact`` that imports
-    this checkout's package."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(circleact.__file__).parent.parent), env.get("PYTHONPATH")) if p
-    )
-    return env
-
-
 @pytest.mark.parametrize("flags", [[], ["-W", "error"]])
-def test_n5_l_warning_stays_off_stderr(flags):
+def test_n5_l_warning_stays_off_stderr(flags, package_env):
     def cli(*argv):
         return subprocess.run(
             [sys.executable, *flags, "-m", "circleact", *argv, "--format", "json"],
-            env=_package_env(), capture_output=True, text=True, timeout=60,
+            env=package_env, capture_output=True, text=True, timeout=60,
         )
 
     classified = cli("classify", "--n", "5", "--bn", "1", "--l", "7")
@@ -389,10 +377,10 @@ def test_n5_l_warning_stays_off_stderr(flags):
         (["bernoulli", "--max", "300", "--format", "json"], 100),
     ],
 )
-def test_reader_closing_early_is_quiet(argv, read_first):
+def test_reader_closing_early_is_quiet(argv, read_first, package_env):
     proc = subprocess.Popen(
         [sys.executable, "-m", "circleact", *argv],
-        env=_package_env(),
+        env=package_env,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )

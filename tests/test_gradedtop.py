@@ -217,14 +217,12 @@ def _check_under_cpu_limit(seconds):
     _check_product_equals_det()
 
 
-def test_snf_product_equals_det_where_elimination_blows_up():
+def test_snf_product_equals_det_where_elimination_blows_up(package_env):
     """In a child process with a time limit, so that unbounded coefficient
     growth fails the test instead of hanging the suite."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(gradedtop.__file__).parents[1]), str(Path(__file__).parent),
-                    env.get("PYTHONPATH")) if p
-    )
+    # the child imports this module too
+    env = dict(package_env)
+    env["PYTHONPATH"] += os.pathsep + str(Path(__file__).parent)
     child = subprocess.run(
         [sys.executable, "-c",
          f"import test_gradedtop; test_gradedtop._check_under_cpu_limit({_CHILD_SECONDS})"],

@@ -1,7 +1,6 @@
 """Checks stay enforced under ``python -O``, which strips assert statements."""
 
 import ast
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -24,14 +23,10 @@ def test_library_has_no_assert_statements():
     assert offenders == []
 
 
-def test_selftest_fails_under_optimized_interpreter():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(PACKAGE.parent), env.get("PYTHONPATH")) if p
-    )
+def test_selftest_fails_under_optimized_interpreter(package_env):
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "circleact", "selftest"],
-        env=env,
+        env=package_env,
         capture_output=True,
         text=True,
         timeout=120,

@@ -2,7 +2,6 @@
 stored field is declared once, and every copy is derived from it."""
 
 import ast
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -128,20 +127,11 @@ def test_admits_follows_the_reason(reason):
 
 
 
-def _fresh_env():
-    """This environment with this checkout's package first on PYTHONPATH."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(circleact.__file__).parent.parent), env.get("PYTHONPATH")) if p
-    )
-    return env
-
-
-def _run_fresh(code):
-    """Run ``code`` in a fresh interpreter; it passes when the code raises nothing."""
+def _run_fresh(env, code):
+    """Run ``code`` in a fresh interpreter with ``env``; it passes when the
+    code raises nothing."""
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=_fresh_env(), capture_output=True, text=True,
-        timeout=60,
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
 
@@ -151,8 +141,9 @@ _LAYERS = _BERNOULLI, _CLASSIFIER, _GENUS, _GRADEDTOP = (
 )
 
 
-def test_import_loads_no_layer():
+def test_import_loads_no_layer(package_env):
     _run_fresh(
+        package_env,
         "import sys, circleact\n"
         f"assert not set({_LAYERS!r}) & set(sys.modules), sorted(sys.modules)\n"
         "circleact.__version__\n"
@@ -161,8 +152,9 @@ def test_import_loads_no_layer():
     )
 
 
-def test_star_import_binds_exactly_all():
+def test_star_import_binds_exactly_all(package_env):
     _run_fresh(
+        package_env,
         "import circleact\n"
         "from circleact import bernoulli, classifier, genus, gradedtop\n"
         "bound = {}\n"
@@ -176,16 +168,18 @@ def test_star_import_binds_exactly_all():
     )
 
 
-def test_dir_lists_the_public_surface():
+def test_dir_lists_the_public_surface(package_env):
     _run_fresh(
+        package_env,
         "import circleact\n"
         "listed = dir(circleact)\n"
         "assert set(circleact.__all__) <= set(listed), set(circleact.__all__) - set(listed)\n"
     )
 
 
-def test_unknown_attribute_is_an_attribute_error():
+def test_unknown_attribute_is_an_attribute_error(package_env):
     _run_fresh(
+        package_env,
         "import circleact\n"
         "try:\n"
         "    circleact.no_such_name\n"
@@ -198,10 +192,11 @@ def test_unknown_attribute_is_an_attribute_error():
     )
 
 
-def test_a_rebinding_survives_a_missed_lookup():
+def test_a_rebinding_survives_a_missed_lookup(package_env):
     # as monkeypatch.setattr does: read the name (loading the layers), then
     # rebind it; the layers load once, so a later miss binds nothing again
     _run_fresh(
+        package_env,
         "import circleact\n"
         "circleact.classify\n"
         "circleact.classify = fake = object()\n"
@@ -211,16 +206,18 @@ def test_a_rebinding_survives_a_missed_lookup():
     )
 
 
-def test_family_is_one_class_under_every_name():
+def test_family_is_one_class_under_every_name(package_env):
     _run_fresh(
+        package_env,
         "import circleact, circleact.gradedtop, circleact.classifier\n"
         "assert circleact.gradedtop.Family is circleact.Family\n"
         "assert circleact.classifier.Family is circleact.Family\n"
     )
 
 
-def test_records_round_trip_through_pickle_and_deepcopy():
+def test_records_round_trip_through_pickle_and_deepcopy(package_env):
     _run_fresh(
+        package_env,
         "import copy, pickle, circleact\n"
         "result = circleact.classify(circleact.ManifoldInvariants(15, 3, 2419200))\n"
         "for obj in (circleact.Family.CPN, result.orbit, result):\n"
@@ -231,13 +228,14 @@ def test_records_round_trip_through_pickle_and_deepcopy():
     )
 
 
-def _imported_modules(*args):
-    """Every module a fresh ``python -S`` imports while running ``args``,
-    read from its ``-X importtime`` report.  ``-S`` keeps the host's site
-    hooks out of the list; this checkout's package comes from PYTHONPATH."""
+def _imported_modules(env, *args):
+    """Every module a fresh ``python -S`` imports while running ``args``
+    with ``env``, read from its ``-X importtime`` report.  ``-S`` keeps the
+    host's site hooks out of the list; this checkout's package comes from
+    PYTHONPATH."""
     proc = subprocess.run(
         [sys.executable, "-S", "-X", "importtime", *args],
-        env=_fresh_env(), capture_output=True, text=True, timeout=60,
+        env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     return {
@@ -272,13 +270,13 @@ _COLD_STARTS = {
 
 
 @pytest.mark.parametrize("case", list(_COLD_STARTS))
-def test_cold_start_skips_dataclasses_and_inspect(case):
+def test_cold_start_skips_dataclasses_and_inspect(case, package_env):
     """The records are hand-written, so starting the CLI loads neither
     ``dataclasses`` nor the ``inspect`` it pulls in.  Nor does importing
     ``circleact.cli`` load any layer, ``argparse`` or ``json``: each
     subcommand loads only the layers it runs."""
     args, loads, skips = _COLD_STARTS[case]
-    modules = _imported_modules(*args)
+    modules = _imported_modules(package_env, *args)
     assert {"circleact.cli", *loads} <= modules
     assert not {"dataclasses", "inspect", *skips} & modules
 

@@ -1,9 +1,11 @@
 """The result records behave as frozen value types: field-wise equality and
 hash within one class, the ``Name(field=value, ...)`` repr, immutability,
-pickle and copy round trips through the constructor, and the constructors
-that ``Record`` generates from each class's ``__slots__``."""
+pickle and copy round trips through the constructor, the constructors
+that ``Record`` generates from each class's ``__slots__``, and the JSON
+dict that ``Record`` derives from them."""
 
 import copy
+import json
 import pickle
 
 import pytest
@@ -131,7 +133,7 @@ def test_never_equal_to_a_tuple_or_another_class(make):
 
 RECORD_CLASSES = sorted(Record.__subclasses__(), key=lambda c: c.__name__)
 # the records whose constructor is the generated store: they check nothing
-PLAIN = {DivisorReport, Witness, OrbitRecipe, ClassificationResult, SNFResult, SelfTestReport}
+PLAIN = {DivisorReport, Witness, ClassificationResult, SNFResult, SelfTestReport}
 
 
 @pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda c: c.__name__)
@@ -234,3 +236,70 @@ def test_unknown_keyword_is_a_type_error(make):
 def test_orbit_model_is_unhashable():
     with pytest.raises(TypeError):
         hash(standard_orbit_model(7, Family.CPN, 1))
+
+
+def test_orbit_recipe_takes_a_family_or_its_name():
+    # a name is stored as its Family, so describe(), orbit_model() and
+    # to_json_dict() read one family
+    recipe = OrbitRecipe(7, "CPN", 1)
+    assert recipe.family is Family.CPN
+    assert recipe == OrbitRecipe(7, Family.CPN, 1)
+    assert recipe.describe().startswith("#_1(S^7 x S^7) # CP^7, ")
+    assert recipe.orbit_model() == standard_orbit_model(7, Family.CPN, 1)
+    assert recipe.to_json_dict()["family"] == "CPN"
+    assert OrbitRecipe(7, "CPHALF_TIMES_SPHERE", 1).family is Family.CPHALF_TIMES_SPHERE
+    with pytest.raises(ValueError, match="'CPX' is not a valid Family"):
+        OrbitRecipe(7, "CPX", 1)
+
+
+# the records whose to_json_dict is not the base's fields by name
+SHAPED = {OrbitRecipe, ClassificationResult, GradedGroup, PontrjaginPolynomial}
+
+_UNIT_JSON = {"rows": 1, "cols": 1, "entries": [[1]]}
+
+# the JSON of each sample whose record takes the base's to_json_dict
+PLAIN_JSON = {
+    "ManifoldInvariants": {"n": 7, "b_n": 1, "l": 0},
+    "ManifoldInvariants-default": {"n": 13, "b_n": 2, "l": 0},
+    "DivisorReport": {
+        "n": 7, "k": 2, "a_k": 1, "kervaire": 12, "j_index": 240, "required": 1440,
+    },
+    "Witness": {"sphere_product_copies": 2, "bundle_divisibility": 2419200},
+    "IntMatrix": {"rows": 2, "cols": 2, "entries": [[1, 2], [3, 4]]},
+    "SNFResult": {"invariant_factors": [1, 2]},
+    "OrbitModel": {
+        "cohomology": GradedGroup((1, 0) * 5 + (1,)).to_json_dict(),
+        "cup_t": dict.fromkeys(["0", "2", "4", "6", "8"], _UNIT_JSON),
+    },
+    "SelfTestReport": {"passed": 3, "failures": [["x", "AssertionError: y"]]},
+}
+
+
+def test_only_the_shaped_records_write_their_own_json():
+    assert {cls for cls in RECORD_CLASSES if "to_json_dict" in cls.__dict__} == SHAPED
+    assert {name for name, (make, _) in SAMPLES.items() if type(make()) not in SHAPED} == set(
+        PLAIN_JSON
+    )
+
+
+@sample
+def test_json_dict_survives_a_json_round_trip(make):
+    data = make().to_json_dict()
+    assert json.loads(json.dumps(data)) == data
+
+
+@pytest.mark.parametrize("name", list(PLAIN_JSON))
+def test_plain_json_is_the_fields_by_name(name):
+    record = SAMPLES[name][0]()
+    data = record.to_json_dict()
+    assert data == PLAIN_JSON[name]
+    assert list(data) == list(record._fields)
+
+
+def test_shaped_json_keeps_the_fields_in_the_middle():
+    result = classify(ManifoldInvariants(15, 3, 2419200))
+    recipe = result.orbit
+    assert list(recipe.to_json_dict()) == [*OrbitRecipe._fields, "euler_class", "description"]
+    assert list(result.to_json_dict()) == ["admits", *ClassificationResult._fields]
+    assert result.to_json_dict()["orbit"] == recipe.to_json_dict()
+    assert result.to_json_dict()["divisors"] == result.divisors.to_json_dict()
