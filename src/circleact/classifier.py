@@ -107,14 +107,31 @@ class OrbitRecipe(Record):
     S^n x S^n connect-summed with either CP^n or CP^{(n-1)/2} x S^{n+1}
     (the latter carrying middle Pontrjagin divisibility d when n = 7 mod 8),
     with the circle bundle over it classified by a primitive Euler class.
-    ``family`` is a ``Family`` or its name; another name is a ValueError."""
+    ``family`` is a ``Family`` or its name; another name is a ValueError.
+    n is an odd int >= 5, handles an int >= 0 and divisibility None or an
+    int >= 0, as ``standard_orbit_model`` takes them; anything else is a
+    ValueError."""
 
     __slots__ = ("n", "family", "handles", "divisibility")
 
     def __init__(
         self, n: int, family: Family | str, handles: int, divisibility: int | None = None
     ) -> None:
-        # the type test inline: classify builds one recipe per admitting decision
+        # the tests inline and fused: classify builds one recipe per
+        # admitting decision; the messages are built only on failure
+        if not (
+            type(n) is int and n >= 5 and n % 2 and type(handles) is int and handles >= 0
+            and (divisibility is None or type(divisibility) is int and divisibility >= 0)
+        ):
+            _exact(n, int, "n")
+            _exact(handles, int, "handles")
+            if divisibility is not None:
+                _exact(divisibility, int, "divisibility")
+            if n < 5 or n % 2 == 0:
+                raise ValueError("dimension out of scope")
+            if handles < 0:
+                raise ValueError("handle count must be nonnegative")
+            raise ValueError("divisibility must be nonnegative")
         self._store(n, family if type(family) is Family else Family(family), handles, divisibility)
 
     def core_description(self) -> str:

@@ -10,6 +10,11 @@ or ``json``: each subcommand imports what it runs when it runs, so a
 process pays only for the layers its subcommand uses.  The imports read
 each module's attributes at call time, so a function rebound there (by a
 tracer, say) is the one called.
+
+Each subcommand computes its result once and returns two zero-argument
+views of it, its JSON payload and its text lines; ``main`` calls only the
+view that ``--format`` asks for.  One writer, ``_write``, prints every line
+the CLI prints, the JSON error line on stderr included.
 """
 
 from __future__ import annotations
@@ -102,134 +107,124 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(payload: dict, text_lines: list[str], fmt: str, out) -> None:
-    if fmt == "json":
-        import json
-
-        print(json.dumps(payload), file=out)
-    else:
-        for line in text_lines:
-            print(line, file=out)
+def _write(lines, file=None) -> None:
+    """Print each line to ``file`` (stdout by default); the CLI's one writer."""
+    for line in lines:
+        print(line, file=file)
 
 
-def _fail(error: dict) -> int:
-    """Report a domain error as one JSON line on stderr; exit code 1."""
-    _emit(error, [], "json", sys.stderr)
-    return 1
+def _json(payload) -> list[str]:
+    import json
+
+    return [json.dumps(payload)]
 
 
-def _cmd_classify(args, out) -> int:
+class _Refusal(ValueError):
+    """A domain error that carries its own JSON error object."""
+
+
+def _cmd_classify(args):
     from .classifier import ManifoldInvariants, classify
 
     result = classify(ManifoldInvariants(n=args.n, b_n=args.bn, l=args.l))
-    lines = [
-        f"admits free circle action: {'yes' if result.admits else 'no'}",
-        f"reason: {result.reason.value}",
-    ]
-    if result.divisors:
-        lines.append(f"required divisor: {result.divisors.required}")
-        lines.append(f"realizability divisor: {result.divisors.kervaire}")
-    if result.witness:
-        w = result.witness
-        n = args.n
-        parts = []
-        if w.sphere_product_copies:
-            parts.append(f"#_{w.sphere_product_copies}(S^{n} x S^{n + 1})")
-        if w.bundle_divisibility is not None:
-            parts.append(
-                f"S^{n}-bundle over S^{n + 1} with divisibility {w.bundle_divisibility}"
-            )
-        desc = " # ".join(parts) if parts else f"S^{2 * n + 1} (homotopy sphere)"
-        lines.append(f"normal form: {desc}")
-    if result.orbit:
-        lines.append(f"orbit space: {result.orbit.describe()}")
-    for note in result.notes:
-        lines.append(f"note: {note}")
-    _emit(result.to_json_dict(), lines, args.format, out)
-    return 0
+
+    def text():
+        yield f"admits free circle action: {'yes' if result.admits else 'no'}"
+        yield f"reason: {result.reason.value}"
+        if result.divisors:
+            yield f"required divisor: {result.divisors.required}"
+            yield f"realizability divisor: {result.divisors.kervaire}"
+        if result.witness:
+            w, n = result.witness, args.n
+            parts = []
+            if w.sphere_product_copies:
+                parts.append(f"#_{w.sphere_product_copies}(S^{n} x S^{n + 1})")
+            if w.bundle_divisibility is not None:
+                parts.append(
+                    f"S^{n}-bundle over S^{n + 1} with divisibility {w.bundle_divisibility}"
+                )
+            desc = " # ".join(parts) if parts else f"S^{2 * n + 1} (homotopy sphere)"
+            yield f"normal form: {desc}"
+        if result.orbit:
+            yield f"orbit space: {result.orbit.describe()}"
+        for note in result.notes:
+            yield f"note: {note}"
+
+    return result.to_json_dict, text
 
 
-def _cmd_bernoulli(args, out) -> int:
+def _cmd_bernoulli(args):
     from .bernoulli import table_rows
 
     rows = table_rows(args.max)
-    payload = [{"k": k, "bernoulli": str(b), "den": d, "j_index": j} for k, b, d, j in rows]
-    # CSV with csv.writer's \r\n line ends (print adds the \n); no field
-    # ever needs quoting
-    lines = ["k,bernoulli,den,j_index\r", *(",".join(map(str, row)) + "\r" for row in rows)]
-    _emit(payload, lines, args.format, out)
-    return 0
+    return (
+        lambda: [{"k": k, "bernoulli": str(b), "den": d, "j_index": j} for k, b, d, j in rows],
+        # CSV with csv.writer's \r\n line ends (print adds the \n); no field
+        # ever needs quoting
+        lambda: ["k,bernoulli,den,j_index\r", *(",".join(map(str, row)) + "\r" for row in rows)],
+    )
 
 
-def _cmd_imj(args, out) -> int:
+def _cmd_imj(args):
     from .bernoulli import im_j_order
 
     value = im_j_order(args.k)
-    _emit({"k": args.k, "j_index": value}, [str(value)], args.format, out)
-    return 0
+    return lambda: {"k": args.k, "j_index": value}, lambda: [str(value)]
 
 
-def _cmd_ahat(args, out) -> int:
+def _cmd_ahat(args):
     from .genus import multiplicative_sequence
 
     poly = multiplicative_sequence(args.k)
-    _emit(poly.to_json_dict(), [str(poly)], args.format, out)
-    return 0
+    return poly.to_json_dict, lambda: [str(poly)]
 
 
-def _cmd_divisor(args, out) -> int:
+def _cmd_divisor(args):
     from .classifier import required_divisor
 
     report = required_divisor(args.n)
-    payload = report.to_json_dict()
-    lines = [f"{key}: {value}" for key, value in payload.items()]
-    _emit(payload, lines, args.format, out)
-    return 0
+    return report.to_json_dict, lambda: (
+        f"{key}: {value}" for key, value in report.to_json_dict().items()
+    )
 
 
-def _cmd_gysin(args, out) -> int:
+def _cmd_gysin(args):
     from .gradedtop import gysin_total_space, standard_orbit_model
 
-    model = standard_orbit_model(args.n, args.family, args.r)
-    h = gysin_total_space(model)
-    lines = []
-    for j, rank in enumerate(h.ranks):
-        if rank:
-            lines.append(f"H^{j} = Z" + (f"^{rank}" if rank > 1 else ""))
-    _emit(h.to_json_dict(), lines, args.format, out)
-    return 0
+    h = gysin_total_space(standard_orbit_model(args.n, args.family, args.r))
+    return h.to_json_dict, lambda: (
+        f"H^{j} = Z" + (f"^{rank}" if rank > 1 else "") for j, rank in enumerate(h.ranks) if rank
+    )
 
 
-def _cmd_recipe(args, out) -> int:
+def _cmd_recipe(args):
     from .classifier import ManifoldInvariants, classify
 
     result = classify(ManifoldInvariants(n=args.n, b_n=args.bn, l=args.l))
     if not result.admits:
-        return _fail({
-            "admits": False,
-            "reason": result.reason.value,
-            "error": "no free circle action up to almost diffeomorphism",
-        })
-    lines = [result.orbit.describe(), *(f"note: {note}" for note in result.notes)]
-    _emit(result.orbit.to_json_dict(), lines, args.format, out)
-    return 0
+        raise _Refusal({"admits": False, "reason": result.reason.value,
+                        "error": "no free circle action up to almost diffeomorphism"})
+    orbit, notes = result.orbit, result.notes
+    return orbit.to_json_dict, lambda: [orbit.describe(), *(f"note: {note}" for note in notes)]
 
 
-def _cmd_selftest(args, out) -> int:
+def _cmd_selftest(args):
+    """The views, and exit code 1 when a check failed."""
     from .selftest import run
 
     report = run(args.only)
-    payload = {
-        "passed": report.passed,
-        "failed": report.failed,
-        "failures": [{"name": n, "error": e} for n, e in report.failures],
-    }
-    lines = [
-        *(f"FAIL {name}: {error}" for name, error in report.failures),
-        f"passed {report.passed}, failed {report.failed}",
-    ]
-    _emit(payload, lines, args.format, out)
-    return 0 if report.ok else 1
+    return (
+        lambda: {
+            "passed": report.passed,
+            "failed": report.failed,
+            "failures": [{"name": n, "error": e} for n, e in report.failures],
+        },
+        lambda: [
+            *(f"FAIL {name}: {error}" for name, error in report.failures),
+            f"passed {report.passed}, failed {report.failed}",
+        ],
+        0 if report.ok else 1,
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -246,9 +241,10 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
-        code = args.run(args, sys.stdout)
+        json_view, text_view, *code = args.run(args)
+        _write(_json(json_view()) if args.format == "json" else text_view())
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
-        return code
+        return code[0] if code else 0  # only selftest returns an exit code
     except BrokenPipeError:
         # the reader went away (``| head``): point stdout at devnull so the
         # interpreter's final flush stays quiet, as the signal docs advise
@@ -258,14 +254,15 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ArithmeticError) as exc:
         from .classifier import InvalidInvariantsError
 
-        if isinstance(exc, InvalidInvariantsError):
-            return _fail({
-                "admits": False,
-                "reason": "UNREALIZABLE",
-                "error": "invalid manifold invariants",
-                "violations": exc.violations,
-            })
-        return _fail({"error": str(exc)})
+        if isinstance(exc, _Refusal):
+            error = exc.args[0]
+        elif isinstance(exc, InvalidInvariantsError):
+            error = {"admits": False, "reason": "UNREALIZABLE",
+                     "error": "invalid manifold invariants", "violations": exc.violations}
+        else:
+            error = {"error": str(exc)}
+        _write(_json(error), sys.stderr)
+        return 1
     finally:
         if digit_limit is not None:
             sys.set_int_max_str_digits(digit_limit)

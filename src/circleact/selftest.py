@@ -426,7 +426,10 @@ def run(names: list[str] | None = None) -> SelfTestReport:
     """Run all checks (or those whose name contains one of ``names``).
 
     A substring of ``names`` that no check name contains is a ValueError
-    naming it, so a mistyped name does not pass with nothing run."""
+    naming it, so a mistyped name does not pass with nothing run.  So is a
+    bare string for ``names``, which would be read as its characters."""
+    if isinstance(names, str):
+        raise ValueError(f"names must be a list of substrings, not the string {names!r}")
     unmatched = [q for q in names or () if not any(q in name for name, _ in CHECKS)]
     if unmatched:
         raise ValueError(f"no selftest check name contains {', '.join(map(repr, unmatched))}")

@@ -238,6 +238,38 @@ def test_recipe_refuses_non_admitting(capsys):
     assert error["admits"] is False
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_each_subcommand_builds_only_the_asked_view(capsys, monkeypatch, fmt):
+    # the format not asked for is never built: the recipe is described once,
+    # and a Gysin table printed as text never builds its JSON dict
+    from circleact.classifier import OrbitRecipe
+    from circleact.gradedtop import GradedGroup
+
+    calls = []
+
+    def spy(name, method):
+        def wrapper(self):
+            calls.append(name)
+            return method(self)
+
+        return wrapper
+
+    monkeypatch.setattr(OrbitRecipe, "describe", spy("describe", OrbitRecipe.describe))
+    monkeypatch.setattr(GradedGroup, "to_json_dict", spy("gysin json", GradedGroup.to_json_dict))
+    for argv in (["classify", "--n", "15", "--bn", "3", "--l", "2419200"],
+                 ["classify", "--n", "5", "--bn", "2"],
+                 ["recipe", "--n", "15", "--bn", "3", "--l", "2419200"],
+                 ["recipe", "--n", "7", "--bn", "2", "--l", "0"]):
+        calls.clear()
+        code, out, err = run(capsys, *argv, "--format", fmt)
+        assert (code, err, calls) == (0, "", ["describe"]), argv
+        assert "circle bundle with Euler class" in out
+    calls.clear()
+    code, out, err = run(capsys, "gysin", "--n", "7", "--family", "CPN", "--r", "1", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert calls == (["gysin json"] if fmt == "json" else [])
+
+
 # README lines whose comment is their exact stdout
 _README_OUTPUTS = {("imj", "--k", "2"), ("ahat", "--k", "2", "--format", "json")}
 

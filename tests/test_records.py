@@ -252,6 +252,35 @@ def test_orbit_recipe_takes_a_family_or_its_name():
         OrbitRecipe(7, "CPX", 1)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((6, "CPN", -2, 5), "dimension out of scope"),
+        ((3, "CPN", 0), "dimension out of scope"),
+        ((7.0, "CPN", True), "n must be of type int, got 7.0"),
+        ((True, "CPN", 0), "n must be of type int, got True"),
+        ((7, "CPN", True), "handles must be of type int, got True"),
+        ((7, "CPN", -1), "handle count must be nonnegative"),
+        ((7, "CPHALF_TIMES_SPHERE", 1, 2.0), "divisibility must be of type int, got 2.0"),
+        ((7, "CPHALF_TIMES_SPHERE", 1, -12), "divisibility must be nonnegative"),
+    ],
+    ids=["even-n", "small-n", "float-n", "bool-n", "bool-handles", "negative-handles",
+         "float-divisibility", "negative-divisibility"],
+)
+def test_orbit_recipe_refuses_what_its_orbit_model_refuses(args, message):
+    # a recipe that orbit_model() refuses must not build, or describe() and
+    # to_json_dict() would read a recipe that orbit_model() cannot make
+    with pytest.raises(ValueError) as info:
+        OrbitRecipe(*args)
+    assert str(info.value) == message
+
+
+def test_orbit_recipe_admits_the_edges():
+    for args in [(5, "CPN", 0), (5, "CPN", 0, 0), (9, "CPHALF_TIMES_SPHERE", 0, 0)]:
+        recipe = OrbitRecipe(*args)
+        assert recipe.orbit_model() == standard_orbit_model(*args[:3])
+
+
 # the records whose to_json_dict is not the base's fields by name
 SHAPED = {OrbitRecipe, ClassificationResult, GradedGroup, PontrjaginPolynomial}
 

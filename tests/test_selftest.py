@@ -10,3 +10,11 @@ from circleact import selftest
 )
 def test_check(check):
     check()
+
+
+@pytest.mark.parametrize("names", ["surgery", "zzz"])
+def test_run_refuses_a_bare_string(names):
+    # read as its characters, "surgery" would run every check (each letter
+    # is in some name) and "zzz" the one check whose name contains a "z"
+    with pytest.raises(ValueError, match=f"^names must be .* string '{names}'$"):
+        selftest.run(names)
