@@ -177,6 +177,10 @@ class InvalidInvariantsError(ValueError):
         super().__init__("; ".join(violations))
         self.violations = list(violations)
 
+    def to_json_dict(self) -> dict:
+        return {"admits": False, "reason": ReasonCode.UNREALIZABLE.value,
+                "error": "invalid manifold invariants", "violations": self.violations}
+
 
 # The cap bounds what one request can make the process build and keep: the
 # full table took 0.14-0.37 ms to build and holds 285 KiB (67 KiB at

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 One subcommand per library surface, each with ``--format {text,json}``
-(default text).  Exit codes: 0 success, 1 domain error (a machine-readable
-JSON object goes to stderr), 2 usage error.  All numeric flags are parsed
-as arbitrary-precision integers; divisibilities easily exceed 64 bits.
+(default text).  Exit codes: 0 success, 2 usage error, 1 domain error, with
+one JSON line on stderr: the object the error carries as ``to_json_dict()``,
+else ``{"error": message}``.  All numeric flags are parsed as
+arbitrary-precision integers; divisibilities easily exceed 64 bits.
 
 Importing this module loads none of the library layers, nor ``argparse``
 or ``json``: each subcommand imports what it runs when it runs, so a
@@ -122,6 +123,9 @@ def _json(payload) -> list[str]:
 class _Refusal(ValueError):
     """A domain error that carries its own JSON error object."""
 
+    def to_json_dict(self) -> dict:
+        return self.args[0]
+
 
 def _cmd_classify(args):
     from .classifier import ManifoldInvariants, classify
@@ -232,8 +236,7 @@ def main(argv: list[str] | None = None) -> int:
     and a reader that closes stdout early gets exit 1 with no message).
 
     The interpreter's int<->str digit limit is lifted while ``main`` runs,
-    so numeric flags and outputs of any length convert exactly.  stderr
-    carries only machine-readable errors.
+    so numeric flags and outputs of any length convert exactly.
     """
     # Python < 3.10.7 has neither the limit nor its setter
     digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
@@ -252,16 +255,8 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         return 1
     except (ValueError, ArithmeticError) as exc:
-        from .classifier import InvalidInvariantsError
-
-        if isinstance(exc, _Refusal):
-            error = exc.args[0]
-        elif isinstance(exc, InvalidInvariantsError):
-            error = {"admits": False, "reason": "UNREALIZABLE",
-                     "error": "invalid manifold invariants", "violations": exc.violations}
-        else:
-            error = {"error": str(exc)}
-        _write(_json(error), sys.stderr)
+        to_json_dict = getattr(exc, "to_json_dict", None)
+        _write(_json(to_json_dict() if to_json_dict else {"error": str(exc)}), sys.stderr)
         return 1
     finally:
         if digit_limit is not None:

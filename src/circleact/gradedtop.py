@@ -42,10 +42,15 @@ class IntMatrix(Record):
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: tuple[tuple[int, ...], ...]) -> None:
-        entries = tuple(
-            tuple(_exact(x, int, "matrix entry [{}][{}]", i, j) for j, x in enumerate(row))
-            for i, row in enumerate(entries)
-        )
+        try:
+            entries = tuple(
+                tuple(_exact(x, int, "matrix entry [{}][{}]", i, j) for j, x in enumerate(row))
+                for i, row in enumerate(entries)
+            )
+        except TypeError:  # entries, or one of its rows, is not iterable
+            raise ValueError(
+                f"entries must be a sequence of rows of ints, got {entries!r}"
+            ) from None
         _exact(rows, int, "rows")
         _exact(cols, int, "cols")
         if rows < 0 or cols < 0:

@@ -427,10 +427,15 @@ def run(names: list[str] | None = None) -> SelfTestReport:
 
     A substring of ``names`` that no check name contains is a ValueError
     naming it, so a mistyped name does not pass with nothing run.  So is a
-    bare string for ``names``, which would be read as its characters."""
+    bare string for ``names``, which would be read as its characters, and
+    a ``names`` that is not a sequence of strings; no check runs then."""
     if isinstance(names, str):
         raise ValueError(f"names must be a list of substrings, not the string {names!r}")
-    unmatched = [q for q in names or () if not any(q in name for name, _ in CHECKS)]
+    try:  # a name that is not a string fails ``in``
+        queries = () if names is None else tuple(names)
+        unmatched = [q for q in queries if not any(q in name for name, _ in CHECKS)]
+    except TypeError:
+        raise ValueError(f"names must be a list of substrings, got {names!r}") from None
     if unmatched:
         raise ValueError(f"no selftest check name contains {', '.join(map(repr, unmatched))}")
     if not __debug__:
@@ -442,7 +447,7 @@ def run(names: list[str] | None = None) -> SelfTestReport:
     passed = 0
     failures: list[tuple[str, str]] = []
     for name, check in CHECKS:
-        if names and not any(q in name for q in names):
+        if queries and not any(q in name for q in queries):
             continue
         try:
             check()

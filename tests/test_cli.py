@@ -238,6 +238,24 @@ def test_recipe_refuses_non_admitting(capsys):
     assert error["admits"] is False
 
 
+def test_domain_error_stderr_lines_are_pinned(capsys):
+    # each error prints one JSON object on stderr, whatever the format
+    pinned = {
+        ("classify", "--n", "6", "--bn", "-1"):
+            '{"admits": false, "reason": "UNREALIZABLE", "error": "invalid manifold invariants", '
+            '"violations": ["n must be odd, at least 5, and congruent to 5 or 7 mod 8", '
+            '"b_n must be nonnegative"]}\n',
+        ("recipe", "--n", "15", "--bn", "2", "--l", "5040"):
+            '{"admits": false, "reason": "EVEN_L_NONZERO", '
+            '"error": "no free circle action up to almost diffeomorphism"}\n',
+        ("gysin", "--n", "6", "--family", "CPN", "--r", "0"):
+            '{"error": "dimension out of scope"}\n',
+    }
+    for argv, line in pinned.items():
+        for fmt in ([], ["--format", "text"], ["--format", "json"]):
+            assert run(capsys, *argv, *fmt) == (1, "", line), (argv, fmt)
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_each_subcommand_builds_only_the_asked_view(capsys, monkeypatch, fmt):
     # the format not asked for is never built: the recipe is described once,

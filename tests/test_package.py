@@ -79,9 +79,11 @@ _COHOMOLOGY = gradedtop.GradedGroup((1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1))
         (lambda: gradedtop.OrbitModel(_COHOMOLOGY, [[1]]), "cup_t"),
         (lambda: gradedtop.GradedGroup(5), "ranks"),
         (lambda: gradedtop.IntMatrix.from_rows([1]), "rows"),
+        (lambda: gradedtop.IntMatrix(2, 2, 5), "entries"),
+        (lambda: gradedtop.IntMatrix(1, 1, (5,)), "entries"),
     ],
     ids=["PontrjaginPolynomial", "OrbitModel-int", "OrbitModel-rows", "GradedGroup",
-         "IntMatrix.from_rows"],
+         "IntMatrix.from_rows", "IntMatrix-int", "IntMatrix-row"],
 )
 def test_constructors_name_a_field_of_the_wrong_shape(call, field):
     # each died with a bare TypeError or AttributeError, or a ValueError
@@ -228,16 +230,16 @@ def test_records_round_trip_through_pickle_and_deepcopy(package_env):
     )
 
 
-def _imported_modules(env, *args):
+def _imported_modules(env, *args, code=0):
     """Every module a fresh ``python -S`` imports while running ``args``
-    with ``env``, read from its ``-X importtime`` report.  ``-S`` keeps the
-    host's site hooks out of the list; this checkout's package comes from
-    PYTHONPATH."""
+    with ``env``, read from its ``-X importtime`` report; the run must exit
+    with ``code``.  ``-S`` keeps the host's site hooks out of the list; this
+    checkout's package comes from PYTHONPATH."""
     proc = subprocess.run(
         [sys.executable, "-S", "-X", "importtime", *args],
         env=env, capture_output=True, text=True, timeout=60,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     return {
         line.rsplit("|", 1)[1].strip()
         for line in proc.stderr.splitlines()
@@ -247,7 +249,7 @@ def _imported_modules(env, *args):
 
 _CLI = ["-m", "circleact"]
 
-# (argv, modules it must load, modules it must not load)
+# (argv, modules it must load, modules it must not load[, exit code if not 0])
 _COLD_STARTS = {
     "import": (["-c", "import circleact.cli"], {"circleact.cli"},
                {*_LAYERS, "argparse", "json", "fractions"}),
@@ -266,6 +268,15 @@ _COLD_STARTS = {
     "ahat": ([*_CLI, "ahat", "--k", "3"], {_GENUS}, {_CLASSIFIER, _GRADEDTOP}),
     "bernoulli": ([*_CLI, "bernoulli", "--max", "5"], {_BERNOULLI, "fractions"},
                   {_CLASSIFIER, _GRADEDTOP}),
+    # a domain error prints the JSON the error carries, so it loads no
+    # layer beyond the one that raised it
+    "gysin-error": ([*_CLI, "gysin", "--n", "6", "--family", "CPN", "--r", "0"],
+                    {_GRADEDTOP, "json"}, {_BERNOULLI, _CLASSIFIER, _GENUS}, 1),
+    "imj-error": ([*_CLI, "imj", "--k", "0"], {_BERNOULLI, "json"},
+                  {_CLASSIFIER, _GRADEDTOP, _GENUS}, 1),
+    "ahat-error": ([*_CLI, "ahat", "--k", "0"], {_GENUS, "json"}, {_CLASSIFIER, _GRADEDTOP}, 1),
+    "bernoulli-error": ([*_CLI, "bernoulli", "--max", "0"], {_BERNOULLI, "json"},
+                        {_CLASSIFIER, _GRADEDTOP, _GENUS}, 1),
 }
 
 
@@ -275,8 +286,8 @@ def test_cold_start_skips_dataclasses_and_inspect(case, package_env):
     ``dataclasses`` nor the ``inspect`` it pulls in.  Nor does importing
     ``circleact.cli`` load any layer, ``argparse`` or ``json``: each
     subcommand loads only the layers it runs."""
-    args, loads, skips = _COLD_STARTS[case]
-    modules = _imported_modules(package_env, *args)
+    args, loads, skips, *code = _COLD_STARTS[case]
+    modules = _imported_modules(package_env, *args, code=code[0] if code else 0)
     assert {"circleact.cli", *loads} <= modules
     assert not {"dataclasses", "inspect", *skips} & modules
 
