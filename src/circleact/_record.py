@@ -26,6 +26,10 @@ base fields first, and ``_values`` is the tuple of field values in that
 order; the constructor takes them positionally in that order.  ``_exact``
 is the type check a constructor runs on a field.
 
+``_record(cls, *values)`` stores a record without ``cls.__init__``'s
+checks, for values the library derived from checked inputs; a test pins
+each such site to the record its checked constructor builds.
+
 ``Family`` names the two orbit-space rings.  It lives here, below both
 ``classifier`` and ``gradedtop``, so that a classification loads no
 linear algebra; ``gradedtop`` re-exports it.
@@ -45,6 +49,13 @@ def _exact(value, kind: type, field: str, *where: int):
     if type(value) is not kind:
         raise ValueError(f"{field.format(*where)} must be of type {kind.__name__}, got {value!r}")
     return value
+
+
+def _record(cls: type, *values):
+    """A ``cls`` record of ``values`` in field order, stored unchecked."""
+    record = object.__new__(cls)
+    cls._store(record, *values)
+    return record
 
 
 class Record:

@@ -117,20 +117,15 @@ class OrbitRecipe(Record):
     def __init__(
         self, n: int, family: Family | str, handles: int, divisibility: int | None = None
     ) -> None:
-        # the tests inline and fused: classify builds one recipe per
-        # admitting decision; the messages are built only on failure
-        if not (
-            type(n) is int and n >= 5 and n % 2 and type(handles) is int and handles >= 0
-            and (divisibility is None or type(divisibility) is int and divisibility >= 0)
-        ):
-            _exact(n, int, "n")
-            _exact(handles, int, "handles")
-            if divisibility is not None:
-                _exact(divisibility, int, "divisibility")
-            if n < 5 or n % 2 == 0:
-                raise ValueError("dimension out of scope")
-            if handles < 0:
-                raise ValueError("handle count must be nonnegative")
+        _exact(n, int, "n")
+        _exact(handles, int, "handles")
+        if divisibility is not None:
+            _exact(divisibility, int, "divisibility")
+        if n < 5 or n % 2 == 0:
+            raise ValueError("dimension out of scope")
+        if handles < 0:
+            raise ValueError("handle count must be nonnegative")
+        if divisibility is not None and divisibility < 0:
             raise ValueError("divisibility must be nonnegative")
         self._store(n, family if type(family) is Family else Family(family), handles, divisibility)
 
@@ -271,9 +266,15 @@ def _witness(b_n: int, l: int) -> Witness:
 
 
 def _orbit_recipe(n: int, b_n: int, d: int | None) -> OrbitRecipe:
+    # validated invariants: n odd and >= 5, b_n >= 0, d None or l >= 0, so
+    # OrbitRecipe's checks would pass.  The two statements of ``_record``,
+    # inlined: its *values calls cost more than the checked constructor
+    recipe = object.__new__(OrbitRecipe)
     if b_n % 2 == 0:
-        return OrbitRecipe(n, Family.CPN, b_n // 2, None)
-    return OrbitRecipe(n, Family.CPHALF_TIMES_SPHERE, (b_n - 1) // 2, d)
+        OrbitRecipe._store(recipe, n, Family.CPN, b_n // 2, None)
+    else:
+        OrbitRecipe._store(recipe, n, Family.CPHALF_TIMES_SPHERE, (b_n - 1) // 2, d)
+    return recipe
 
 
 def classify(inv: ManifoldInvariants) -> ClassificationResult:

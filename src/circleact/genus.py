@@ -35,7 +35,7 @@ from functools import lru_cache
 from math import factorial, gcd, lcm
 from operator import lt
 
-from ._record import Record, _exact
+from ._record import Record, _exact, _record
 from .bernoulli import bernoulli_ms
 
 __all__ = [
@@ -173,7 +173,7 @@ def _sequence_part(w: int) -> tuple[_Poly, int]:
 
     D_w is the lcm of the denominators of the scalars
     m c_m / (w D_{w-m}); the gcd of D_w and every numerator is divided
-    out, and zero numerators are dropped."""
+    out, zero numerators are dropped, and the keys descend."""
     if w == 0:
         return {(): 1}, 1
     scalars = [_log_scalar(m) / (w * _sequence_part(w - m)[1]) for m in range(1, w + 1)]
@@ -182,7 +182,7 @@ def _sequence_part(w: int) -> tuple[_Poly, int]:
     for m, s in enumerate(scalars, 1):
         _add_product(out, _power_sum(m), _sequence_part(w - m)[0], s.numerator * (den // s.denominator))
     g = gcd(den, *out.values())
-    return {key: c // g for key, c in out.items() if c}, den // g
+    return {key: out[key] // g for key in sorted(out, reverse=True) if out[key]}, den // g
 
 
 def multiplicative_sequence(k: int) -> PontrjaginPolynomial:
@@ -194,7 +194,9 @@ def multiplicative_sequence(k: int) -> PontrjaginPolynomial:
     if _exact(k, int, "k") < 1:
         raise ValueError("degree starts at 1")
     numerators, den = _sequence_part(k)
-    return PontrjaginPolynomial(k, {parts: Fraction(c, den) for parts, c in numerators.items()})
+    # nonzero terms keyed by descending partitions of k: what the checks store
+    terms = {parts: Fraction(c, den) for parts, c in numerators.items()}
+    return _record(PontrjaginPolynomial, k, terms)
 
 
 def alpha(k: int) -> Fraction:

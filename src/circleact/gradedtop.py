@@ -17,10 +17,10 @@ a model producing torsion errors out rather than guessing the extension.
 from __future__ import annotations
 
 from math import gcd, isqrt
-from operator import add, mul, sub
+from operator import add, mul
 from types import MappingProxyType
 
-from ._record import Family, Record, _exact
+from ._record import Family, Record, _exact, _record
 
 __all__ = [
     "IntMatrix",
@@ -320,6 +320,9 @@ class OrbitModel(Record):
         return type(self), (self.cohomology, dict(self.cup_t))
 
 
+_UNIT = IntMatrix(1, 1, ((1,),))
+
+
 def standard_orbit_model(n: int, family: Family | str, r: int) -> OrbitModel:
     """The orbit-space model with r handles: connected sum of r copies of
     S^n x S^n with either CP^n or CP^{(n-1)/2} x S^{n+1}.
@@ -340,47 +343,39 @@ def standard_orbit_model(n: int, family: Family | str, r: int) -> OrbitModel:
     ranks[n] += 2 * r  # handles: r copies of S^n x S^n
     # t^a -> t^{a+1} (or its sphere translate) is onto a generator; handle
     # classes and the degree-n-1 class of the product family go to zero
-    unit = IntMatrix(1, 1, ((1,),))
-    cup = dict.fromkeys(range(0, 2 * n - 1, 2), unit)
+    cup = dict.fromkeys(range(0, 2 * n - 1, 2), _UNIT)
     if family is Family.CPHALF_TIMES_SPHERE:
         del cup[n - 1]
-    return OrbitModel(GradedGroup(ranks), cup)
+    # checked n, r, family: OrbitModel's checks would pass
+    return _record(OrbitModel, _record(GradedGroup, tuple(ranks)), MappingProxyType(cup))
 
 
 def gysin_total_space(model: OrbitModel) -> GradedGroup:
-    """Cohomology of the circle-bundle total space over the model, assembled
-    degreewise from the cokernel/kernel short exact sequences.
-
-    One Smith normal form per distinct stored cup map gives its torsion
-    check and its image rank (the unit maps of a standard model are one
-    shared matrix); a degree without a stored map is the zero map.
-    """
+    """Cohomology of the circle-bundle total space over the model, from the
+    cokernel/kernel short exact sequences: rank H^j + rank H^{j-1} less the
+    images of t on H^{j-2} and H^{j-1}, in one pass over the stored maps,
+    one Smith normal form per distinct map.  Built without a re-check."""
     base = _exact(model, OrbitModel, "model").cohomology.ranks
-    image = [0] * len(base)  # rank of the image of t on H^j
-    cokernels: dict[IntMatrix, tuple[int, tuple[int, ...]]] = {}
+    ranks = list(map(add, base + (0,), (0,) + base))
+    cokernels = {}
     last = None  # a run of one shared map is looked up once
-    for j, mat in sorted(model.cup_t.items()):
+    for j, mat in model.cup_t.items():
         if mat is not last:
             if mat not in cokernels:
                 cokernels[mat] = cokernel(mat)
             coker_free, coker_torsion = cokernels[mat]
-            if coker_torsion:
+            if coker_torsion:  # the lowest degree, whatever the stored order
+                j = min(i for i, m in model.cup_t.items() if cokernel(m)[1])
+                coker_torsion = cokernel(model.cup_t[j])[1]
                 raise ArithmeticError(
                     f"cup-with-t cokernel at degree {j + 2} has torsion {coker_torsion}; "
                     "extension undetermined for this model"
                 )
             rank, last = mat.rows - coker_free, mat
-        image[j] = rank
-    # degree j of the total space, j = 0..2n+1:
-    # rank H^j - image on H^{j-2}  +  rank H^{j-1} - image on H^{j-1}
-    ranks = tuple(
-        map(
-            sub,
-            map(add, base + (0,), (0,) + base),
-            map(add, [0, 0] + image[:-1], [0] + image),
-        )
-    )
-    return GradedGroup(ranks)
+        ranks[j + 1] -= rank
+        ranks[j + 2] -= rank
+    # ints >= 0: an image rank is at most both ranks its map joins
+    return _record(GradedGroup, tuple(ranks))
 
 
 def divisibility_transfer(model: OrbitModel, d: int) -> int:

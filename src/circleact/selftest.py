@@ -287,6 +287,8 @@ def _check_euler_characteristic_conservation() -> None:
 def _check_gysin_round_trip() -> None:
     for family, r, model in _standard_models():
         h = gradedtop.gysin_total_space(model)
+        # built without a re-check: the checked constructor agrees
+        assert gradedtop.GradedGroup(h.ranks) == h
         assert not any(map(h.rank, range(1, model.n)))  # H^1..H^{n-1} vanish
         middle = h.rank(model.n)
         expected = 2 * r if family is Family.CPN else 2 * r + 1
@@ -296,6 +298,8 @@ def _check_gysin_round_trip() -> None:
 def _check_poincare_duality() -> None:
     for _, _, model in _standard_models():
         coh = model.cohomology
+        # built without a re-check, duality included: the checked constructors agree
+        assert gradedtop.OrbitModel(gradedtop.GradedGroup(coh.ranks), dict(model.cup_t)) == model
         for j in range(coh.top_degree + 1):
             assert coh.rank(j) == coh.rank(coh.top_degree - j)
         h = gradedtop.gysin_total_space(model)

@@ -11,6 +11,7 @@ from circleact._record import _Table
 from circleact.classifier import (
     InvalidInvariantsError,
     ManifoldInvariants,
+    OrbitRecipe,
     ReasonCode,
     Witness,
     classify,
@@ -306,11 +307,10 @@ def test_reason_code_admits_property():
         assert (result.orbit is not None) is result.admits
 
 
-def _pinned_decisions():
-    """One line per decision over n = 5..1023 (n = 5 or 7 mod 8), b_n = 0..3
-    and l in {0, 1} for n = 5 mod 8, else l in {0, kervaire, required,
-    3 required, kervaire + 1, -kervaire}: the result's repr, or the
-    violations of a refused input."""
+def _pin_grid():
+    """n = 5..1023 (n = 5 or 7 mod 8), b_n = 0..3 and l in {0, 1} for
+    n = 5 mod 8, else l in {0, kervaire, required, 3 required, kervaire + 1,
+    -kervaire}: 4,096 invariants."""
     for n in range(5, 1024):
         if n % 8 == 5:
             ls = (0, 1)
@@ -321,10 +321,17 @@ def _pinned_decisions():
             continue
         for b_n in range(4):
             for l in ls:
-                try:
-                    yield repr(classify(ManifoldInvariants(n, b_n, l)))
-                except InvalidInvariantsError as exc:
-                    yield repr(exc.violations)
+                yield ManifoldInvariants(n, b_n, l)
+
+
+def _pinned_decisions():
+    """One line per decision over the pin grid: the result's repr, or the
+    violations of a refused input."""
+    for inv in _pin_grid():
+        try:
+            yield repr(classify(inv))
+        except InvalidInvariantsError as exc:
+            yield repr(exc.violations)
 
 
 def test_classify_output_is_pinned():
@@ -334,6 +341,28 @@ def test_classify_output_is_pinned():
     assert len(lines) == 4096
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == "b7dd0fd9e85b656dd6a7786272c4f4337f85bd52a1827d7db9a45e810f2c9634"
+
+
+def test_classify_recipes_equal_the_checked_constructor():
+    # classify builds its recipes without OrbitRecipe's checks; the checked
+    # constructor makes the same record from the decided invariants
+    admitted = 0
+    for inv in _pin_grid():
+        try:
+            orbit = classify(inv).orbit
+        except InvalidInvariantsError:
+            continue
+        if orbit is None:
+            continue
+        n, b_n, l = inv.n, inv.b_n, inv.l
+        if b_n % 2 == 0:
+            checked = OrbitRecipe(n, "CPN", b_n // 2)
+        else:
+            checked = OrbitRecipe(n, "CPHALF_TIMES_SPHERE", b_n // 2, None if n % 8 == 5 else l)
+        assert orbit == checked and repr(orbit) == repr(checked)
+        assert type(orbit.family) is Family
+        admitted += 1
+    assert admitted == 2048
 
 
 def test_euler_char_cp():

@@ -396,6 +396,10 @@ def test_integer_recurrence_equals_the_fraction_recurrence():
         pinned = PontrjaginPolynomial(k, _fraction_sequence_part(k))
         poly = multiplicative_sequence(k)
         assert list(poly.items()) == list(pinned.items())
+        # built without the constructor's checks and sort: the checked
+        # constructor makes the same record from its terms, in the same order
+        checked = PontrjaginPolynomial(k, poly.terms)
+        assert poly == checked and repr(poly) == repr(checked) == repr(pinned)
         assert all(type(c) is Fraction for c in poly.terms.values())
         assert poly.to_json_dict() == pinned.to_json_dict()
         assert list(poly.to_json_dict()["terms"]) == list(pinned.to_json_dict()["terms"])

@@ -373,6 +373,25 @@ def test_standard_model_stores_only_unit_maps(family, stored):
     assert set(model.cup_t) == set(range(0, 2 * n - 1, 2)) - dead
 
 
+def test_standard_model_equals_the_checked_constructors():
+    # standard_orbit_model skips OrbitModel's and GradedGroup's checks; the
+    # model they build from the same ranks and maps must be the same record,
+    # key order included (the repr shows it), and a copy rebuilds through
+    # the checks
+    unit = IntMatrix(1, 1, ((1,),))
+    for n in [*range(5, 256, 2), 1023, 4095]:
+        for family in Family:
+            dead = n - 1 if family is Family.CPHALF_TIMES_SPHERE else None
+            cup = {j: unit for j in range(0, 2 * n - 1, 2) if j != dead}
+            for r in range(5):
+                ranks = [1, 0] * n + [1]
+                ranks[n] += 2 * r
+                checked = OrbitModel(GradedGroup(ranks), cup)
+                model = standard_orbit_model(n, family, r)
+                assert model == checked and repr(model) == repr(checked)
+                assert pickle.loads(pickle.dumps(model)) == checked == copy.deepcopy(model)
+
+
 def test_standard_model_rejects_bad_dimension():
     # checked before the ranks are built: n = -2 would index past them, and
     # an even n has no degree n - 1 map for the product family to drop
@@ -529,10 +548,11 @@ def test_explicit_zero_maps_change_nothing(n, r, family):
         assert divisibility_transfer(padded, d) == divisibility_transfer(model, d)
 
 
-def _per_degree_gysin(model):
-    """The total-space ranks degree by degree, one cokernel per stored map:
-    the bookkeeping gysin_total_space does with built-in sequence
-    operations."""
+def _per_degree_gysin(model, cokernel=cokernel):
+    """The total-space ranks degree by degree, one cokernel per stored map
+    in ascending degree, each rank read through ``GradedGroup.rank`` and the
+    result built by the checked constructor: the reference for the one pass
+    of gysin_total_space.  ``cokernel`` may be an oracle of the same form."""
     image = {}
     for j, mat in sorted(model.cup_t.items()):
         free, torsion = cokernel(mat)
@@ -551,11 +571,13 @@ def _per_degree_gysin(model):
 
 
 def test_gysin_equals_the_per_degree_formula():
-    for n in range(5, 64, 2):
+    # every result also passes the checks gysin_total_space skips
+    for n in range(5, 256, 2):
         for family in Family:
             for r in range(5):
                 model = standard_orbit_model(n, family, r)
-                assert gysin_total_space(model) == _per_degree_gysin(model)
+                h = gysin_total_space(model)
+                assert h == _per_degree_gysin(model) == GradedGroup(h.ranks)
 
 
 def test_gysin_mixed_maps_equal_the_per_degree_formula():
@@ -577,6 +599,86 @@ def test_gysin_mixed_maps_equal_the_per_degree_formula():
         _per_degree_gysin(twisted)
     assert str(new.value) == str(old.value)
     assert str(new.value).startswith("cup-with-t cokernel at degree 10 has torsion (3,)")
+
+
+def _minor_gcd_cokernel(mat):
+    """``cokernel`` from the gcd-of-minors invariant factors."""
+    factors = minor_gcd_invariant_factors(mat)
+    return mat.rows - len(factors), tuple(d for d in factors if d > 1)
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type and text of what it raises."""
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _unimodular(draw, size):
+    """A unimodular size x size matrix and its inverse, as lists of rows:
+    a product of elementary row operations, each undone on the inverse."""
+    a = [[int(i == j) for j in range(size)] for i in range(size)]
+    inv = [row[:] for row in a]
+    for _ in range(draw(st.integers(0, 4)) if size else 0):
+        i, k = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+        c = draw(st.integers(-2, 2))
+        if i == k:  # negate row i of a, and so column i of its inverse
+            a[i] = [-x for x in a[i]]
+            for row in inv:
+                row[i] = -row[i]
+        else:  # row i += c row k in a; column k -= c column i in the inverse
+            a[i] = [x + c * y for x, y in zip(a[i], a[k])]
+            for row in inv:
+                row[k] -= c * row[i]
+    return a, inv
+
+
+def _product(a, b, cols):
+    return [[sum(x * b[k][j] for k, x in enumerate(row)) for j in range(cols)] for row in a]
+
+
+@st.composite
+def _general_models(draw):
+    """A valid orbit model with ranks up to 3 (the middle one 2 or 4), its
+    cup maps stored in a drawn order, the map into the middle degree always
+    among them; and the same model after a change of basis in every
+    degree."""
+    n = draw(st.sampled_from([7, 5, 9]))
+    low = [1, 0, 1] + [draw(st.integers(0, 3)) for _ in range(3, n)]
+    ranks = low + [draw(st.sampled_from([2, 4]))] + low[::-1]
+    degrees = [n - 2] + [j for j in range(1, 2 * n - 1) if j != n - 2 and draw(st.booleans())]
+    entry = st.sampled_from([0, 1, -1, 2, 3])
+    cup = {0: [[draw(st.sampled_from([1, -1]))]]}
+    for j in draw(st.permutations(degrees)):
+        cup[j] = [[draw(entry) for _ in range(ranks[j])] for _ in range(ranks[j + 2])]
+    bases = [_unimodular(draw, rank) for rank in ranks]
+    moved = {
+        j: _product(_product(bases[j + 2][0], rows, ranks[j]), bases[j][1], ranks[j])
+        for j, rows in cup.items()
+    }
+    coh = GradedGroup(ranks)
+    return [
+        OrbitModel(coh, {j: IntMatrix(ranks[j + 2], ranks[j], tuple(map(tuple, rows)))
+                         for j, rows in maps.items()})
+        for maps in (cup, moved)
+    ]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_general_models())
+def test_gysin_on_general_models(models):
+    # the standard models store only 1 x 1 unit maps; here the one pass of
+    # gysin_total_space meets wider maps in any stored order, and torsion
+    model, moved = models
+    got = _outcome(gysin_total_space, model)
+    assert got == _outcome(_per_degree_gysin, model)
+    assert got == _outcome(_per_degree_gysin, model, _minor_gcd_cokernel)
+    # ranks and torsion are invariants of the model, not of its bases
+    assert _outcome(gysin_total_space, moved) == got
+    if model.n % 8 == 7:
+        for d in (0, 1440):
+            assert _outcome(divisibility_transfer, moved, d) == _outcome(divisibility_transfer, model, d)
 
 
 def test_gysin_refuses_a_cokernel_with_torsion():
