@@ -26,13 +26,15 @@ base fields first, and ``_values`` is the tuple of field values in that
 order; the constructor takes them positionally in that order.  ``_exact``
 is the type check a constructor runs on a field.
 
-``_record(cls, *values)`` stores a record without ``cls.__init__``'s
-checks, for values the library derived from checked inputs; a test pins
-each such site to the record its checked constructor builds.
+The same ``exec`` makes the classmethod ``cls._make(f1, ..., fk)``: the
+store's body on a new record, without ``cls.__init__``'s checks, for values
+the library derived from checked inputs; a test pins each such site to the
+record its checked constructor builds.
 
-``Family`` names the two orbit-space rings.  It lives here, below both
-``classifier`` and ``gradedtop``, so that a classification loads no
-linear algebra; ``gradedtop`` re-exports it.
+``Family`` names the two orbit-space rings, and ``_orbit_family`` is the
+one check of an orbit space's n and handle count.  Both live here, below
+``classifier`` and ``gradedtop``, so that a classification loads no linear
+algebra; ``gradedtop`` re-exports ``Family``.
 """
 
 from __future__ import annotations
@@ -49,13 +51,6 @@ def _exact(value, kind: type, field: str, *where: int):
     if type(value) is not kind:
         raise ValueError(f"{field.format(*where)} must be of type {kind.__name__}, got {value!r}")
     return value
-
-
-def _record(cls: type, *values):
-    """A ``cls`` record of ``values`` in field order, stored unchecked."""
-    record = object.__new__(cls)
-    cls._store(record, *values)
-    return record
 
 
 class Record:
@@ -75,15 +70,18 @@ class Record:
         # setter bypasses the refusing __setattr__ below and the by-name
         # lookup of a generic setattr
         namespace = {f"_set{i}": getattr(cls, name).__set__ for i, name in enumerate(fields)}
-        namespace["__name__"] = cls.__module__
+        namespace.update(__name__=cls.__module__, _new=object.__new__)
+        args = ", ".join(fields)
         body = "".join(f"\n    _set{i}(self, {name})" for i, name in enumerate(fields))
-        exec(f"def __init__(self, {', '.join(fields)}):{body}", namespace)
+        exec(f"def __init__(self, {args}):{body}\n"
+             f"def _make(cls, {args}):\n    self = _new(cls){body}\n    return self", namespace)
+        for name in ("__init__", "_make"):
+            namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
         store = namespace["__init__"]
-        store.__qualname__ = f"{cls.__qualname__}.__init__"
         store.__defaults__ = defaults
         if cls.__init__ in (object.__init__, getattr(cls, "_store", None)):
             cls.__init__ = store  # no hand-written constructor above this class
-        cls._store = store
+        cls._store, cls._make = store, classmethod(namespace["_make"])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -156,3 +154,15 @@ class Family(str, Enum):
 
     CPN = "CPN"
     CPHALF_TIMES_SPHERE = "CPHALF_TIMES_SPHERE"
+
+
+def _orbit_family(n: int, family: Family | str, r: int, r_name: str = "r") -> Family:
+    """``family`` as a ``Family`` once n is an odd int >= 5 and the handle
+    count r (``r_name`` in errors) an int >= 0; else ValueError."""
+    _exact(n, int, "n")
+    _exact(r, int, r_name)
+    if n < 5 or n % 2 == 0:
+        raise ValueError("dimension out of scope")
+    if r < 0:
+        raise ValueError("handle count must be nonnegative")
+    return family if type(family) is Family else Family(family)

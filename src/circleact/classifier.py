@@ -25,7 +25,7 @@ from __future__ import annotations
 from enum import Enum
 from math import factorial
 
-from ._record import Family, Record, _Table, _exact
+from ._record import Family, Record, _Table, _exact, _orbit_family
 from .bernoulli import im_j_order
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING without importing typing
@@ -117,17 +117,10 @@ class OrbitRecipe(Record):
     def __init__(
         self, n: int, family: Family | str, handles: int, divisibility: int | None = None
     ) -> None:
-        _exact(n, int, "n")
-        _exact(handles, int, "handles")
-        if divisibility is not None:
-            _exact(divisibility, int, "divisibility")
-        if n < 5 or n % 2 == 0:
-            raise ValueError("dimension out of scope")
-        if handles < 0:
-            raise ValueError("handle count must be nonnegative")
-        if divisibility is not None and divisibility < 0:
+        family = _orbit_family(n, family, handles, "handles")
+        if divisibility is not None and _exact(divisibility, int, "divisibility") < 0:
             raise ValueError("divisibility must be nonnegative")
-        self._store(n, family if type(family) is Family else Family(family), handles, divisibility)
+        self._store(n, family, handles, divisibility)
 
     def core_description(self) -> str:
         if self.family is Family.CPN:
@@ -267,14 +260,10 @@ def _witness(b_n: int, l: int) -> Witness:
 
 def _orbit_recipe(n: int, b_n: int, d: int | None) -> OrbitRecipe:
     # validated invariants: n odd and >= 5, b_n >= 0, d None or l >= 0, so
-    # OrbitRecipe's checks would pass.  The two statements of ``_record``,
-    # inlined: its *values calls cost more than the checked constructor
-    recipe = object.__new__(OrbitRecipe)
+    # OrbitRecipe's checks would pass
     if b_n % 2 == 0:
-        OrbitRecipe._store(recipe, n, Family.CPN, b_n // 2, None)
-    else:
-        OrbitRecipe._store(recipe, n, Family.CPHALF_TIMES_SPHERE, (b_n - 1) // 2, d)
-    return recipe
+        return OrbitRecipe._make(n, Family.CPN, b_n // 2, None)
+    return OrbitRecipe._make(n, Family.CPHALF_TIMES_SPHERE, (b_n - 1) // 2, d)
 
 
 def classify(inv: ManifoldInvariants) -> ClassificationResult:

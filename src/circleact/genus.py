@@ -35,7 +35,7 @@ from functools import lru_cache
 from math import factorial, gcd, lcm
 from operator import lt
 
-from ._record import Record, _exact, _record
+from ._record import Record, _exact
 from .bernoulli import bernoulli_ms
 
 __all__ = [
@@ -136,6 +136,7 @@ class PontrjaginPolynomial(Record):
 # The memoized values below are shared between callers and never mutated.
 
 _Poly = dict[tuple[int, ...], int]
+_DEGREE_CAP = 100  # the largest k multiplicative_sequence computes
 
 
 @lru_cache(maxsize=None)
@@ -188,15 +189,19 @@ def _sequence_part(w: int) -> tuple[_Poly, int]:
 def multiplicative_sequence(k: int) -> PontrjaginPolynomial:
     """Degree-k polynomial of the sequence, exact rational coefficients.
 
-    Degree 1 is -p1/24, degree 2 is (-4 p2 + 7 p1^2)/5760, and so on.
+    Degree 1 is -p1/24, degree 2 is (-4 p2 + 7 p1^2)/5760, and so on.  A k
+    above ``_DEGREE_CAP`` is refused before any work: the polynomial has one
+    term per partition of k, 5,604 at k = 30 and 190,569,292 at k = 100.
     """
     # checked before the cache: True == 1 would hit the entry of k = 1
     if _exact(k, int, "k") < 1:
         raise ValueError("degree starts at 1")
+    if k > _DEGREE_CAP:
+        raise ValueError(f"degree above {_DEGREE_CAP} is refused: one term per partition of k")
     numerators, den = _sequence_part(k)
     # nonzero terms keyed by descending partitions of k: what the checks store
     terms = {parts: Fraction(c, den) for parts, c in numerators.items()}
-    return _record(PontrjaginPolynomial, k, terms)
+    return PontrjaginPolynomial._make(k, terms)
 
 
 def alpha(k: int) -> Fraction:

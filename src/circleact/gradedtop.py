@@ -20,7 +20,7 @@ from math import gcd, isqrt
 from operator import add, mul
 from types import MappingProxyType
 
-from ._record import Family, Record, _exact, _record
+from ._record import Family, Record, _exact, _orbit_family
 
 __all__ = [
     "IntMatrix",
@@ -270,8 +270,9 @@ class OrbitModel(Record):
     ``cup_t[j]`` is the matrix of -cup t: H^j -> H^{j+2} (rows = rank of
     the target); degrees without a stored matrix are zero maps.  The Euler
     class t generates H^2, so ``cup_t[0]`` must be [[1]] or [[-1]].  The
-    model keeps a read-only copy of ``cup_t``, so the checks hold for its
-    lifetime.
+    model keeps a read-only copy of ``cup_t`` in ascending degree, so the
+    checks hold for its lifetime and ``gysin_total_space`` meets its maps
+    in degree order.
     """
 
     __slots__ = ("cohomology", "cup_t")
@@ -309,7 +310,7 @@ class OrbitModel(Record):
         unit = cup.get(0)  # None is the zero map
         if unit is None or unit.entries not in (((1,),), ((-1,),)):
             raise ValueError("a primitive Euler class needs cup_t[0] = [[1]] or [[-1]]")
-        self._store(cohomology, MappingProxyType(cup))
+        self._store(cohomology, MappingProxyType(dict(sorted(cup.items()))))
 
     @property
     def n(self) -> int:
@@ -332,13 +333,7 @@ def standard_orbit_model(n: int, family: Family | str, r: int) -> OrbitModel:
     isomorphism for the projective family and zero for the product family
     (t^{(n+1)/2} vanishes there and the sphere class is not a t-multiple).
     """
-    _exact(n, int, "n")
-    _exact(r, int, "r")
-    if n < 5 or n % 2 == 0:
-        raise ValueError("dimension out of scope")
-    if r < 0:
-        raise ValueError("handle count must be nonnegative")
-    family = Family(family)
+    family = _orbit_family(n, family, r)
     ranks = [1, 0] * n + [1]
     ranks[n] += 2 * r  # handles: r copies of S^n x S^n
     # t^a -> t^{a+1} (or its sphere translate) is onto a generator; handle
@@ -346,15 +341,17 @@ def standard_orbit_model(n: int, family: Family | str, r: int) -> OrbitModel:
     cup = dict.fromkeys(range(0, 2 * n - 1, 2), _UNIT)
     if family is Family.CPHALF_TIMES_SPHERE:
         del cup[n - 1]
-    # checked n, r, family: OrbitModel's checks would pass
-    return _record(OrbitModel, _record(GradedGroup, tuple(ranks)), MappingProxyType(cup))
+    # checked n, r, family: OrbitModel's checks would pass, and the maps are
+    # in degree order
+    return OrbitModel._make(GradedGroup._make(tuple(ranks)), MappingProxyType(cup))
 
 
 def gysin_total_space(model: OrbitModel) -> GradedGroup:
     """Cohomology of the circle-bundle total space over the model, from the
     cokernel/kernel short exact sequences: rank H^j + rank H^{j-1} less the
-    images of t on H^{j-2} and H^{j-1}, in one pass over the stored maps,
-    one Smith normal form per distinct map.  Built without a re-check."""
+    images of t on H^{j-2} and H^{j-1}, in one pass over the stored maps in
+    degree order, one Smith normal form per distinct map; the first torsion
+    met is at the lowest degree.  Built without a re-check."""
     base = _exact(model, OrbitModel, "model").cohomology.ranks
     ranks = list(map(add, base + (0,), (0,) + base))
     cokernels = {}
@@ -364,9 +361,7 @@ def gysin_total_space(model: OrbitModel) -> GradedGroup:
             if mat not in cokernels:
                 cokernels[mat] = cokernel(mat)
             coker_free, coker_torsion = cokernels[mat]
-            if coker_torsion:  # the lowest degree, whatever the stored order
-                j = min(i for i, m in model.cup_t.items() if cokernel(m)[1])
-                coker_torsion = cokernel(model.cup_t[j])[1]
+            if coker_torsion:  # maps in degree order: the first is the lowest
                 raise ArithmeticError(
                     f"cup-with-t cokernel at degree {j + 2} has torsion {coker_torsion}; "
                     "extension undetermined for this model"
@@ -375,7 +370,7 @@ def gysin_total_space(model: OrbitModel) -> GradedGroup:
         ranks[j + 1] -= rank
         ranks[j + 2] -= rank
     # ints >= 0: an image rank is at most both ranks its map joins
-    return _record(GradedGroup, tuple(ranks))
+    return GradedGroup._make(tuple(ranks))
 
 
 def divisibility_transfer(model: OrbitModel, d: int) -> int:

@@ -109,6 +109,14 @@ def test_imj_domain_error(capsys):
         assert "error" in json.loads(err)
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_ahat_above_the_cap_is_one_json_error(capsys, fmt):
+    # k = 400 once died in the recurrence with a RecursionError traceback
+    line = '{"error": "degree above 100 is refused: one term per partition of k"}\n'
+    for k in ("101", "400"):
+        assert run(capsys, "ahat", "--k", k, "--format", fmt) == (1, "", line)
+
+
 @pytest.mark.parametrize(
     "k",
     [

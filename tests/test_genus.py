@@ -172,6 +172,18 @@ def test_sequence_refuses_a_degree_below_one_before_the_cache(k):
     assert genus._sequence_part.cache_info().currsize == cached
 
 
+@pytest.mark.parametrize("k", [genus._DEGREE_CAP + 1, 400, 10**100])
+def test_sequence_refuses_a_degree_above_the_cap_before_any_work(k):
+    # k = 340 and above ran the recurrence, which recurses once per weight,
+    # out of Python stack (RecursionError); alpha does not recurse, no cap
+    cached = genus._sequence_part.cache_info().currsize
+    with pytest.raises(ValueError) as info:
+        multiplicative_sequence(k)
+    assert str(info.value) == "degree above 100 is refused: one term per partition of k"
+    assert genus._sequence_part.cache_info().currsize == cached
+    assert alpha(400) == -bernoulli.bernoulli_ms(400) / (2 * factorial(800))
+
+
 def test_polynomial_degree_is_an_exact_int_that_cannot_be_reassigned():
     # PontrjaginPolynomial(2.0, {}) constructed, and degree could be set
     for bad in (2.0, True, "2"):

@@ -134,6 +134,8 @@ def test_never_equal_to_a_tuple_or_another_class(make):
 RECORD_CLASSES = sorted(Record.__subclasses__(), key=lambda c: c.__name__)
 # the records whose constructor is the generated store: they check nothing
 PLAIN = {DivisorReport, Witness, ClassificationResult, SNFResult, SelfTestReport}
+# a sample maker per record class
+MAKE = {type(make()): make for make, _ in SAMPLES.values()}
 
 
 @pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda c: c.__name__)
@@ -142,9 +144,15 @@ def test_one_bound_setter_per_field(cls):
     # per class, in field order
     setters = [cls._store.__globals__[f"_set{i}"] for i in range(len(cls._fields))]
     assert setters == [getattr(cls, name).__set__ for name in cls._fields]
+    # the unchecked build comes from the same exec, so it calls the same setters
+    assert cls._make.__func__.__globals__ is cls._store.__globals__
+    assert cls._make.__qualname__ == f"{cls.__qualname__}._make"
     # a twin adds no slot, so it generates nothing and keeps its base's
     twin = type("Twin", (cls,), {"__slots__": ()})
     assert twin._store is cls._store and twin.__init__ is cls.__init__
+    values = MAKE[cls]()._values
+    built = twin._make(*values)
+    assert type(built) is twin and built._values == values
 
 
 def test_plain_records_are_built_by_their_store():
@@ -156,6 +164,8 @@ def test_positional_and_keyword_rebuilds_are_equal(make):
     record = make()
     cls = type(record)
     assert cls(*record._values) == record
+    made = cls._make(*record._values)
+    assert made == record and repr(made) == repr(record)
     if cls in PLAIN:
         assert cls(**dict(zip(cls._fields, record._values))) == record
 
